@@ -100,6 +100,7 @@ from repro.engine.driver import (
     EngineSpec,
     measure_t_eps_batch,
     run_to_consensus_batch,
+    sample_checkpoints_batch,
     sample_f_batch,
     sample_t_eps_batch,
 )
@@ -147,6 +148,7 @@ __all__ = [
     "set_thread_cap",
     "validate_kernel",
     "run_to_consensus_batch",
+    "sample_checkpoints_batch",
     "sample_f_batch",
     "sample_t_eps_batch",
     "select_backend",

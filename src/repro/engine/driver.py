@@ -12,7 +12,10 @@ can be rebuilt inside worker processes and results memoised on disk:
 * :func:`sample_f_batch` / :func:`sample_t_eps_batch` — spec-level
   entry points that shard the replica budget into chunks (bounding peak
   memory), optionally fan the shards out over worker processes, and
-  optionally memoise through :class:`repro.engine.cache.ResultCache`.
+  optionally memoise through :class:`repro.engine.cache.ResultCache`;
+* :func:`sample_checkpoints_batch` — the fixed-horizon sampler: the
+  simple average, ``M(t)`` and ``phi`` of every replica at a list of
+  times, sharded the same way.
 """
 
 from __future__ import annotations
@@ -383,6 +386,10 @@ def measure_t_eps_batch(
 # ----------------------------------------------------------------------
 # Spec-level sampling: sharding, multiprocessing, caching
 # ----------------------------------------------------------------------
+#: Observable columns (last axis) of :func:`sample_checkpoints_batch`.
+AVERAGE, WEIGHTED_AVERAGE, PHI = 0, 1, 2
+
+
 def _shard_sizes(replicas: int, shard_size: int) -> list[int]:
     full, rest = divmod(replicas, shard_size)
     return [shard_size] * full + ([rest] if rest else [])
@@ -410,6 +417,24 @@ def _run_shard_t(
 ) -> np.ndarray:
     batch = spec.build(replicas, seed=seed)
     return measure_t_eps_batch(batch, epsilon, max_steps).astype(np.float64)
+
+
+def _run_shard_checkpoints(
+    spec: EngineSpec,
+    replicas: int,
+    seed: np.random.SeedSequence,
+    checkpoints: list,
+) -> np.ndarray:
+    batch = spec.build(replicas, seed=seed)
+    out = np.empty((replicas, len(checkpoints), 3))
+    previous = 0
+    for j, t in enumerate(checkpoints):
+        batch.run(t - previous)
+        previous = t
+        out[:, j, AVERAGE] = batch.simple_average
+        out[:, j, WEIGHTED_AVERAGE] = batch.weighted_average
+        out[:, j, PHI] = batch.phi
+    return out
 
 
 def _init_worker_threads(cap: int) -> None:
@@ -608,3 +633,41 @@ def sample_t_eps_batch(
     if tracer.enabled:
         tracer.streams.histogram("t_eps_rounds", out)
     return out
+
+
+def sample_checkpoints_batch(
+    spec: EngineSpec,
+    checkpoints,
+    replicas: int,
+    seed: SeedLike = None,
+    shard_size: Optional[int] = None,
+    processes: int = 1,
+) -> np.ndarray:
+    """Observables of i.i.d. replicas at fixed times (batch engine).
+
+    Returns a ``(replicas, len(checkpoints), 3)`` array whose last axis
+    holds, at each time ``t`` of the non-decreasing ``checkpoints``, the
+    simple average ``Avg(t)`` (column :data:`AVERAGE`), the weighted
+    average ``M(t) = <1, xi(t)>_pi`` (:data:`WEIGHTED_AVERAGE`) and the
+    potential ``phi(xi(t))`` (:data:`PHI`).  Each shard runs one batch
+    forward by ``batch.run(t - previous)``.  The output is bit-identical
+    across ``block_rounds``, except on the rejection-sampled ``k > 1``
+    path for very high-degree graphs (see :mod:`repro.engine.kernels`).
+    """
+    checkpoints = [int(t) for t in checkpoints]
+    if any(t < 0 for t in checkpoints):
+        raise ParameterError(f"checkpoints must be non-negative, got {checkpoints}")
+    if any(b < a for a, b in zip(checkpoints, checkpoints[1:])):
+        raise ParameterError(f"checkpoints must be non-decreasing, got {checkpoints}")
+    with active_tracer().span(
+        "engine.sample_checkpoints", replicas=replicas, processes=processes
+    ):
+        return _run_sharded(
+            _run_shard_checkpoints,
+            spec,
+            replicas,
+            seed,
+            shard_size,
+            processes,
+            checkpoints,
+        )

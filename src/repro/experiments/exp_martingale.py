@@ -18,11 +18,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api import ParamSpec, experiment
-from repro.core.edge_model import EdgeModel
 from repro.core.initial import linear_ramp
-from repro.core.node_model import NodeModel
+from repro.engine.driver import (
+    AVERAGE,
+    WEIGHTED_AVERAGE,
+    EngineSpec,
+    sample_checkpoints_batch,
+)
+from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import binary_tree_graph, lollipop_graph, star_graph
-from repro.rng import spawn
 from repro.sim.results import ResultTable
 from repro.theory.martingale import (
     edge_model_expected_update,
@@ -59,25 +63,24 @@ def _exact_table() -> ResultTable:
 
 def _empirical_table(steps: int, replicas: int, seed: int) -> ResultTable:
     n = 31
-    graph = binary_tree_graph(n)
+    adjacency = Adjacency.from_graph(binary_tree_graph(n))
     initial = linear_ramp(n, 0.0, 1.0)
 
-    m_finals = np.empty(replicas)
-    avg_finals = np.empty(replicas)
-    for i, rng in enumerate(spawn(seed, replicas)):
-        node = NodeModel(graph, initial, alpha=ALPHA, k=1, seed=rng)
-        node.run(steps)
-        m_finals[i] = node.weighted_average
-        edge = EdgeModel(graph, initial, alpha=ALPHA, seed=rng)
-        edge.run(steps)
-        avg_finals[i] = edge.simple_average
+    node_seed, edge_seed = np.random.SeedSequence(seed).spawn(2)
+    m_finals = sample_checkpoints_batch(
+        EngineSpec("node", adjacency, initial, ALPHA),
+        [steps], replicas, seed=node_seed,
+    )[:, 0, WEIGHTED_AVERAGE]
+    avg_finals = sample_checkpoints_batch(
+        EngineSpec("edge", adjacency, initial, ALPHA),
+        [steps], replicas, seed=edge_seed,
+    )[:, 0, AVERAGE]
 
-    node0 = NodeModel(graph, initial, alpha=ALPHA, k=1)
     table = ResultTable(
         title="Lemma 4.1 (empirical): E[M(t)] = M(0) and E[Avg(t)] = Avg(0)",
         columns=["model", "invariant(0)", "mean_final", "stderr", "z_score"],
     )
-    m0 = node0.weighted_average
+    m0 = float(adjacency.stationary_pi() @ initial)
     avg0 = float(initial.mean())
     for model, start, finals in [
         ("node: M(t)", m0, m_finals),

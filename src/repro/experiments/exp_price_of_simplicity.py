@@ -20,9 +20,9 @@ from repro.api import ParamSpec, experiment
 from repro.baselines.gossip import PairwiseGossip
 from repro.baselines.pushsum import PushSum
 from repro.baselines.voter import VoterModel
-from repro.core.convergence import run_to_consensus
 from repro.core.initial import center_simple, rademacher_values
-from repro.core.node_model import NodeModel
+from repro.engine.driver import EngineSpec, run_to_consensus_batch
+from repro.graphs.adjacency import Adjacency
 from repro.rng import spawn
 from repro.sim.results import ResultTable
 
@@ -46,35 +46,36 @@ def run(n: int, replicas: int, tol: float, seed: int = 0) -> list[ResultTable]:
     """Spread of the consensus value: averaging vs gossip vs voter."""
     import networkx as nx
 
-    graph = nx.random_regular_graph(4, n, seed=seed)
+    adjacency = Adjacency.from_graph(nx.random_regular_graph(4, n, seed=seed))
     initial = center_simple(rademacher_values(n, seed=seed))
     target = float(initial.mean())  # == 0 by centering
 
-    f_node = np.empty(replicas)
+    result = run_to_consensus_batch(
+        EngineSpec("node", adjacency, initial, ALPHA).build(replicas, seed=seed),
+        discrepancy_tol=tol, max_steps=500_000_000,
+    )
+    f_node = result.value
+    steps_node = result.t
+
+    # The baselines are not the paper's processes: they stay scalar.
     f_gossip = np.empty(replicas)
     f_voter = np.empty(replicas)
-    steps_node = np.empty(replicas)
     steps_gossip = np.empty(replicas)
     # Map the +-1 opinions to {0, 1} labels for the voter model.
     labels = (initial > 0).astype(np.int64)
     label_values = np.array([initial[labels == 0].mean(), initial[labels == 1].mean()])
 
     for i, rng in enumerate(spawn(seed, replicas)):
-        node = NodeModel(graph, initial, alpha=ALPHA, k=1, seed=rng)
-        result = run_to_consensus(node, discrepancy_tol=tol, max_steps=500_000_000)
-        f_node[i] = result.value
-        steps_node[i] = result.t
-
-        gossip = PairwiseGossip(graph, initial, seed=rng)
+        gossip = PairwiseGossip(adjacency, initial, seed=rng)
         value, steps = gossip.run_to_consensus(discrepancy_tol=tol)
         f_gossip[i] = value
         steps_gossip[i] = steps
 
-        voter = VoterModel(graph, labels, seed=rng)
+        voter = VoterModel(adjacency, labels, seed=rng)
         winner, _ = voter.run_to_consensus()
         f_voter[i] = label_values[winner]
 
-    pushsum = PushSum(graph, initial, seed=seed)
+    pushsum = PushSum(adjacency, initial, seed=seed)
     ps_value, ps_steps = pushsum.run_to_accuracy(tol=tol)
 
     table = ResultTable(

@@ -17,11 +17,15 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api import ParamSpec, experiment
-from repro.core.edge_model import EdgeModel
 from repro.core.initial import center_simple, rademacher_values
-from repro.core.node_model import NodeModel
-from repro.graphs.generators import lollipop_graph, random_regular_graph
-from repro.rng import spawn
+from repro.engine.driver import (
+    AVERAGE,
+    WEIGHTED_AVERAGE,
+    EngineSpec,
+    sample_checkpoints_batch,
+)
+from repro.graphs.adjacency import Adjacency
+from repro.graphs.generators import lollipop_graph
 from repro.sim.results import ResultTable
 from repro.theory.variance import (
     variance_time_bound_avg,
@@ -52,26 +56,22 @@ def run(
     n: int, replicas: int, checkpoints: list, seed: int = 0
 ) -> list[ResultTable]:
     """Var(M(t)) and Var(Avg(t)) vs the Corollary E.2 envelopes."""
-    graph = lollipop_graph(n)  # deliberately irregular
+    adjacency = Adjacency.from_graph(lollipop_graph(n))  # deliberately irregular
     initial = center_simple(rademacher_values(n, seed=seed))
     discrepancy = float(initial.max() - initial.min())
-    m = graph.number_of_edges()
-    degrees = [d for _, d in graph.degree()]
-    d_max = max(degrees)
+    m = adjacency.m
+    d_max = adjacency.d_max
 
     # Record M(t) / Avg(t) at each checkpoint for each replica.
-    node_values = np.empty((replicas, len(checkpoints)))
-    edge_values = np.empty((replicas, len(checkpoints)))
-    for i, rng in enumerate(spawn(seed, replicas)):
-        node = NodeModel(graph, initial, alpha=ALPHA, k=1, seed=rng)
-        edge = EdgeModel(graph, initial, alpha=ALPHA, seed=rng)
-        previous = 0
-        for j, t in enumerate(checkpoints):
-            node.run(t - previous)
-            edge.run(t - previous)
-            previous = t
-            node_values[i, j] = node.weighted_average
-            edge_values[i, j] = edge.simple_average
+    node_seed, edge_seed = np.random.SeedSequence(seed).spawn(2)
+    node_values = sample_checkpoints_batch(
+        EngineSpec("node", adjacency, initial, ALPHA),
+        checkpoints, replicas, seed=node_seed,
+    )[:, :, WEIGHTED_AVERAGE]
+    edge_values = sample_checkpoints_batch(
+        EngineSpec("edge", adjacency, initial, ALPHA),
+        checkpoints, replicas, seed=edge_seed,
+    )[:, :, AVERAGE]
 
     table = ResultTable(
         title="Corollary E.2: any-time variance envelopes (lollipop graph)",

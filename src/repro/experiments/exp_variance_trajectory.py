@@ -19,9 +19,9 @@ import numpy as np
 
 from repro.api import ParamSpec, experiment
 from repro.core.initial import center_simple, rademacher_values
-from repro.core.node_model import NodeModel
+from repro.engine.driver import AVERAGE, EngineSpec, sample_checkpoints_batch
+from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import cycle_graph, random_regular_graph
-from repro.rng import spawn
 from repro.sim.results import ResultTable
 from repro.theory.exact import exact_limit_variance, exact_variance_trajectory
 
@@ -59,14 +59,10 @@ def run(
         limit = exact_limit_variance(graph, initial, ALPHA, k)
 
         # Monte-Carlo Avg(t) at the same checkpoints.
-        averages = np.empty((replicas, len(checkpoints)))
-        for i, rng in enumerate(spawn(seed, replicas)):
-            process = NodeModel(graph, initial, alpha=ALPHA, k=k, seed=rng)
-            previous = 0
-            for j, t in enumerate(checkpoints):
-                process.run(t - previous)
-                previous = t
-                averages[i, j] = process.simple_average
+        spec = EngineSpec("node", Adjacency.from_graph(graph), initial, ALPHA, k)
+        averages = sample_checkpoints_batch(
+            spec, checkpoints, replicas, seed=seed
+        )[:, :, AVERAGE]
 
         table = ResultTable(
             title=f"Exact Var(Avg(t)) via Q-chain powers — {name}, k={k}",

@@ -6,7 +6,10 @@ and the cache layer's hits/misses accumulate for the whole process —
 which is exactly what ``repro cache stats`` reports.  Run-scoped
 telemetry takes a :meth:`~MetricRegistry.snapshot` before executing and
 a :meth:`~MetricRegistry.delta` after, so concurrent bookkeeping from
-other runs in the same process never leaks into a run's counters.
+other runs in the same process never leaks into a run's counters.  Each
+snapshot also opens a high-water frame that records every gauge and
+peak written after it, so a run's delta reports its own peaks and
+gauges, not the process's.
 
 Conventions
 -----------
@@ -41,7 +44,22 @@ Conventions
 from __future__ import annotations
 
 import threading
-from typing import Dict, Mapping
+import weakref
+from typing import Any, Dict, Mapping
+
+
+class _Frame:
+    """Gauges and peaks written since one :meth:`MetricRegistry.snapshot`.
+
+    The snapshot dict holds the only strong reference; the registry
+    tracks frames weakly, so a dropped baseline stops costing writes.
+    """
+
+    __slots__ = ("gauges", "peaks", "__weakref__")
+
+    def __init__(self) -> None:
+        self.gauges: Dict[str, float] = {}
+        self.peaks: Dict[str, float] = {}
 
 
 class MetricRegistry:
@@ -51,6 +69,7 @@ class MetricRegistry:
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._peaks: Dict[str, float] = {}
+        self._frames: "weakref.WeakSet[_Frame]" = weakref.WeakSet()
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -65,12 +84,17 @@ class MetricRegistry:
         """Set the gauge ``name`` to ``value`` (last write wins)."""
         with self._lock:
             self._gauges[name] = value
+            for frame in self._frames:
+                frame.gauges[name] = value
 
     def peak(self, name: str, value: float) -> None:
         """Raise the peak-hold gauge ``name`` to ``value`` if higher."""
         with self._lock:
             if value > self._peaks.get(name, float("-inf")):
                 self._peaks[name] = value
+            for frame in self._frames:
+                if value > frame.peaks.get(name, float("-inf")):
+                    frame.peaks[name] = value
 
     # ------------------------------------------------------------------
     # Readers
@@ -81,33 +105,42 @@ class MetricRegistry:
             return self._counters.get(name, 0)
 
     def snapshot(self) -> dict:
-        """Frozen copy of every metric, suitable for :meth:`delta`."""
+        """Frozen copy of every metric, suitable for :meth:`delta`.
+
+        Also opens a high-water frame (under ``"frame"``) that lives as
+        long as the returned dict.
+        """
+        frame = _Frame()
         with self._lock:
+            self._frames.add(frame)
             return {
                 "counters": dict(self._counters),
                 "gauges": dict(self._gauges),
                 "peaks": dict(self._peaks),
+                "frame": frame,
             }
 
-    def delta(self, baseline: Mapping[str, Mapping[str, float]]) -> dict:
+    def delta(self, baseline: Mapping[str, Any]) -> dict:
         """Metrics attributable to work since ``baseline``.
 
         Counters subtract the baseline (zero-delta entries dropped);
-        gauges and peaks report their current values — a peak is a
-        high-water mark, not a flow, so differencing it is meaningless.
+        gauges and peaks are those written since the baseline's
+        high-water frame opened — a peak is a high-water mark, not a
+        flow, so it is scoped rather than differenced.
         """
-        current = self.snapshot()
-        base = baseline.get("counters", {})
-        counters = {
-            name: value - base.get(name, 0)
-            for name, value in current["counters"].items()
-            if value != base.get(name, 0)
-        }
-        return {
-            "counters": counters,
-            "gauges": current["gauges"],
-            "peaks": current["peaks"],
-        }
+        base = baseline["counters"]
+        frame = baseline["frame"]
+        with self._lock:
+            counters = {
+                name: value - base.get(name, 0)
+                for name, value in self._counters.items()
+                if value != base.get(name, 0)
+            }
+            return {
+                "counters": counters,
+                "gauges": dict(frame.gauges),
+                "peaks": dict(frame.peaks),
+            }
 
     def reset(self) -> None:
         """Zero everything (test isolation; production never resets)."""

@@ -5,8 +5,9 @@ can print *predicted vs measured* rows:
 
 * :mod:`repro.theory.convergence` — the ``T_eps`` bounds of Theorems
   2.2(1) and 2.4(1) and the lower bounds of Proposition B.2,
-* :mod:`repro.theory.contraction` — the exact one-step contraction factors
-  of Proposition B.1 (NodeModel) and Proposition D.1(ii) (EdgeModel),
+* :mod:`repro.theory.contraction` — the one-step contraction factors of
+  Proposition B.1 (NodeModel) and Proposition D.1(ii) (EdgeModel), and
+  the exact one-step expected potential they bound,
 * :mod:`repro.theory.variance` — Lemma 5.7 / Proposition 5.8 variance
   bounds and the time-dependent envelopes of Corollary E.2,
 * :mod:`repro.theory.martingale` — the expected one-step update matrices
@@ -27,6 +28,7 @@ from repro.theory.absorbing import (
 )
 from repro.theory.contraction import (
     edge_model_contraction_factor,
+    exact_one_step_phi,
     node_model_contraction_factor,
 )
 from repro.theory.convergence import (
@@ -67,6 +69,7 @@ __all__ = [
     "exact_coalescence_feasible",
     "exact_coalescence_time",
     "exact_limit_variance",
+    "exact_one_step_phi",
     "exact_variance_trajectory",
     "expected_meeting_time",
     "mean_first_passage_times",

@@ -20,11 +20,14 @@ from repro.engine import (
     ResultCache,
     measure_t_eps_batch,
     run_to_consensus_batch,
+    sample_checkpoints_batch,
     sample_f_batch,
 )
+from repro.engine.driver import AVERAGE, PHI, WEIGHTED_AVERAGE
 from repro.exceptions import ConvergenceError, ParameterError
 from repro.graphs.adjacency import Adjacency
-from repro.graphs.generators import random_regular_graph
+from repro.graphs.generators import cycle_graph, lollipop_graph, random_regular_graph
+from repro.theory.exact import exact_variance_trajectory
 from repro.sim.montecarlo import sample_f_values, sample_t_eps
 
 
@@ -246,6 +249,86 @@ class TestDrivers:
             spec, 120, seed=7, discrepancy_tol=1e-6, shard_size=48, processes=2
         )
         np.testing.assert_array_equal(serial, parallel)
+
+
+class TestSampleCheckpoints:
+    """The fixed-horizon sampler: Avg(t), M(t) and phi at fixed times."""
+
+    #: Crosses the default 256-round block and repeats one time.
+    CHECKPOINTS = [0, 1, 37, 300, 300, 701]
+
+    @staticmethod
+    def _spec(graph, values, kind="node", k=1, **kwargs):
+        return EngineSpec(
+            kind=kind, adjacency=Adjacency.from_graph(graph),
+            initial_values=values, alpha=0.5, k=k, kernel="fused", **kwargs,
+        )
+
+    @pytest.mark.parametrize("kind,k", [("node", 1), ("node", 2), ("edge", 1)])
+    def test_bit_identical_across_block_rounds(self, regular36, values36, kind, k):
+        outs = [
+            sample_checkpoints_batch(
+                self._spec(regular36, values36, kind, k, block_rounds=rounds),
+                self.CHECKPOINTS, 24, seed=3, shard_size=10,
+            )
+            for rounds in (None, 7, 64)
+        ]
+        assert outs[0].shape == (24, len(self.CHECKPOINTS), 3)
+        for out in outs[1:]:
+            np.testing.assert_array_equal(out, outs[0])
+
+    def test_single_shard_equals_direct_run(self, regular36, values36):
+        spec = self._spec(regular36, values36)
+        out = sample_checkpoints_batch(spec, self.CHECKPOINTS, 16, seed=4)
+        (child,) = np.random.SeedSequence(4).spawn(1)
+        batch = spec.build(16, seed=child)
+        previous = 0
+        for j, t in enumerate(self.CHECKPOINTS):
+            batch.run(t - previous)
+            previous = t
+            np.testing.assert_array_equal(out[:, j, AVERAGE], batch.simple_average)
+            np.testing.assert_array_equal(
+                out[:, j, WEIGHTED_AVERAGE], batch.weighted_average
+            )
+            np.testing.assert_array_equal(out[:, j, PHI], batch.phi)
+
+    def test_variance_matches_exact_trajectory(self):
+        # |z| <= 4 at each of 3 checkpoints: false-alarm rate 1.9e-4
+        # (6.3e-5 per checkpoint, normal approximation).
+        graph = cycle_graph(9)
+        values = center_simple(np.arange(9.0))
+        checkpoints = [1, 10, 80]
+        exact = exact_variance_trajectory(graph, values, 0.5, 1, checkpoints)
+        averages = sample_checkpoints_batch(
+            self._spec(graph, values), checkpoints, 4000, seed=12
+        )[:, :, AVERAGE]
+        for j, expected in enumerate(exact):
+            sample = averages[:, j]
+            var = sample.var(ddof=1)
+            m4 = np.mean((sample - sample.mean()) ** 4)
+            z = (var - expected) / np.sqrt((m4 - var * var) / len(sample))
+            assert abs(z) <= 4.0, (checkpoints[j], var, expected)
+
+    def test_weighted_average_is_a_martingale_on_irregular_graph(self):
+        # |z| <= 4 at each of 2 checkpoints: false-alarm rate 1.3e-4.
+        graph = lollipop_graph(11)
+        values = np.linspace(0.0, 1.0, 11)
+        spec = self._spec(graph, values)
+        m0 = float(spec.adjacency.stationary_pi() @ values)
+        weighted = sample_checkpoints_batch(
+            spec, [50, 400], 2000, seed=13
+        )[:, :, WEIGHTED_AVERAGE]
+        z = (weighted.mean(axis=0) - m0) / (
+            weighted.std(axis=0, ddof=1) / np.sqrt(len(weighted))
+        )
+        assert np.all(np.abs(z) <= 4.0), z
+
+    @pytest.mark.parametrize("checkpoints", [[5, 3], [-1, 2]])
+    def test_rejects_bad_checkpoints(self, regular36, values36, checkpoints):
+        with pytest.raises(ParameterError):
+            sample_checkpoints_batch(
+                self._spec(regular36, values36), checkpoints, 4, seed=0
+            )
 
 
 class TestCache:

@@ -15,6 +15,7 @@ from repro.experiments import (
     exp_k_dependence,
     exp_lower_bound,
     exp_martingale,
+    exp_potential_drop,
     exp_qchain,
     exp_time_variance,
 )
@@ -154,6 +155,19 @@ class TestMartingaleExperiment:
         tables = exp_martingale.run(fast=True, seed=0)
         empirical = tables[1]
         assert max(abs(z) for z in empirical.column("z_score")) < 4.0
+
+
+class TestPotentialDropExperiment:
+    def test_exact_factor_strictly_below_bound(self):
+        (table,) = exp_potential_drop.run(fast=True, seed=0)
+        assert all(table.column("ok"))
+        # Not attained on any state, f_2 included.
+        assert min(table.column("bound - exact")) > 0
+
+    def test_monte_carlo_column_agrees_with_exact(self):
+        # |z| <= 4 on 12 rows: false-alarm rate 7.6e-4 (6.3e-5 per row).
+        (table,) = exp_potential_drop.run(fast=True, seed=0)
+        assert max(abs(z) for z in table.column("z")) <= 4.0
 
 
 class TestKDependenceExperiment:

@@ -188,6 +188,21 @@ class TestMetrics:
         delta = reg.delta(baseline)
         assert delta["counters"] == {"a": 3}  # zero-delta 'b' dropped
 
+    def test_delta_scopes_peaks_and_gauges_to_the_baseline(self):
+        reg = MetricRegistry()
+        reg.peak("p", 10)
+        reg.gauge("g", 1.0)
+        outer = reg.snapshot()
+        reg.peak("p", 4)
+        inner = reg.snapshot()
+        reg.peak("p", 3)
+        reg.gauge("h", 2.0)
+        assert reg.delta(inner) == {
+            "counters": {}, "gauges": {"h": 2.0}, "peaks": {"p": 3},
+        }
+        assert reg.delta(outer)["peaks"] == {"p": 4}  # frames nest
+        assert reg.snapshot()["peaks"] == {"p": 10}  # process-wide mark stays
+
 
 class TestStreams:
     def test_series_appends_and_serialises(self):
@@ -404,6 +419,20 @@ class TestApiTelemetry:
         assert plain.telemetry is None
         for old, new in zip(plain.tables, traced_run.tables):
             assert old.to_payload() == new.to_payload()
+
+    def test_peaks_do_not_leak_between_runs(self):
+        """A run reports its own state peak, whatever ran before it."""
+
+        def peak(spec):
+            return execute(spec).telemetry["peaks"]["engine.state_peak_bytes"]
+
+        t222 = RunSpec(
+            "EXP-T222", overrides={"n": 16, "replicas": 8, "tol": 1e-3},
+            trace=True,
+        )
+        solo = peak(t222)
+        assert peak(RunSpec("EXP-F1", trace=True)) > solo
+        assert peak(t222) == solo
 
     def test_telemetry_survives_the_artifact_store(self, tmp_path):
         store = ArtifactStore(tmp_path)
