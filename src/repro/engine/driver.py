@@ -287,10 +287,23 @@ def run_to_consensus_batch(
     """Run every replica until its value spread falls below the tolerance.
 
     The vectorized counterpart of
-    :func:`repro.core.convergence.run_to_consensus`: the O(B * n) spread
-    check runs every ``check_every`` rounds, converged replicas freeze
-    immediately, and a :class:`ConvergenceError` is raised if any replica
-    exhausts ``max_steps``.
+    :func:`repro.core.convergence.run_to_consensus`: the spread check runs
+    every ``check_every`` rounds, converged replicas freeze immediately,
+    and a :class:`ConvergenceError` is raised if any replica exhausts
+    ``max_steps``.
+
+    The check does not rescan every active row.  Each replica keeps a
+    *witness pair*, the argmax and argmin nodes of its last full scan.
+    A row whose witness gap ``|x_hi - x_lo|`` exceeds the tolerance
+    cannot have converged: its spread ``max - min`` is at least that
+    gap, and floating-point subtraction rounds monotonically, so the
+    computed spread is too.  Only the other rows get the O(n)
+    argmax/argmin scan, which refreshes their witnesses and decides
+    freezing exactly as a full scan would, so ``t``, ``value``,
+    ``residual_discrepancy`` and ``phi`` do not depend on the shortcut.
+    The counters ``engine.harvest.rows`` and
+    ``engine.harvest.scanned_rows`` count the active rows tested and
+    the rows scanned, once per check.
     """
     if discrepancy_tol <= 0:
         raise ParameterError(f"discrepancy_tol must be positive, got {discrepancy_tol}")
@@ -302,33 +315,48 @@ def run_to_consensus_batch(
     value = np.empty(B, dtype=np.float64)
     residual = np.empty(B, dtype=np.float64)
     phi_out = np.empty(B, dtype=np.float64)
+    # Witness nodes of each replica's last scan; equal witnesses have a
+    # zero gap, so the first check scans every row.
+    hi = np.zeros(B, dtype=np.int64)
+    lo = np.zeros(B, dtype=np.int64)
 
     def _harvest(start: int) -> None:
         rows = batch._active_rows
         if len(rows) == 0:
             return
-        # Spread via reductions, not a copy of the (A, n) active
-        # submatrix: while most replicas are live, reduce over the full
-        # matrix view directly; once most are frozen, the small active
-        # gather is cheaper than scanning frozen rows.
-        if 4 * len(rows) >= B:
-            spread = (batch.values.max(axis=1) - batch.values.min(axis=1))[rows]
-        else:
-            active_values = batch.values[rows]
-            spread = active_values.max(axis=1) - active_values.min(axis=1)
+        values = batch.values
+        gap = values[rows, hi[rows]] - values[rows, lo[rows]]
+        # `not >` rather than `<=`: a NaN gap is scanned, never skipped.
+        scan = rows[~(np.abs(gap) > discrepancy_tol)]
+        METRICS.count("engine.harvest.rows", len(rows))
+        METRICS.count("engine.harvest.scanned_rows", len(scan))
+        if len(scan) == 0:
+            return
+        # Reduce over the full matrix when every row is scanned (no
+        # (B, n) copy); otherwise over the gathered candidate rows.
+        candidates = values if len(scan) == B else values[scan]
+        top = candidates.argmax(axis=1)
+        bottom = candidates.argmin(axis=1)
+        hi[scan] = top
+        lo[scan] = bottom
+        within = np.arange(len(scan))
+        spread = candidates[within, top] - candidates[within, bottom]
         mask = spread <= discrepancy_tol
         if not mask.any():
             return
-        done = rows[mask]
-        # Gather only the finished rows; exact moments for just those —
-        # a full-batch resync here would be O(B * n) per harvest event.
-        finished = batch.values[done]
+        done = scan[mask]
+        finished = candidates[mask]
+        # The finished rows' moments use the pi of the round about to
+        # run, as batch.phi does at a snapshot switch.
+        batch._sync_snapshot()
         pi = batch._pi
         s1 = finished @ pi
         s2 = (finished**2) @ pi
         t[done] = batch.t - start
         value[done] = finished.mean(axis=1)
-        residual[done] = spread[mask]
+        # max - min rather than spread[mask]: the same bits as a full
+        # scan even where argmax and max disagree on the sign of a zero.
+        residual[done] = finished.max(axis=1) - finished.min(axis=1)
         phi_out[done] = np.maximum(s2 - s1 * s1, 0.0)
         batch.freeze(done)
 

@@ -339,12 +339,12 @@ def autopick_kernel(
 class BlockPlan:
     """Precomputed, value-independent description of one R-round block.
 
-    ``write_idx`` is the ``(R, A)`` flat index of each round's updated
-    entry.  The non-lazy fast path packs all gather and write indices
-    into one ``(R, (k+1) A)`` matrix ``cat_idx = [neighbour_1 | ... |
-    neighbour_k | write]`` whose matching ``coef = [beta/k ... |
-    alpha ...]`` turns the unilateral update into a single fused
-    gather, one multiply and ``k`` slice adds per round.
+    ``write_idx`` is the ``(R, A)`` flat (int64) index of each round's
+    updated entry.  The non-lazy fast path packs all gather and write
+    indices into one ``(R, (k+1) A)`` int64 matrix ``cat_idx =
+    [neighbour_1 | ... | neighbour_k | write]`` whose matching ``coef =
+    [beta/k ... | alpha ...]`` turns the unilateral update into a single
+    fused gather, one multiply and ``k`` slice adds per round.
     ``gather_idx`` is used instead by the lazy paths (shape ``(R, A)``
     or ``(R, A, k)``).  ``weights`` are the pi weights of the written
     entries (scalar on regular graphs); ``keep`` is the lazy coin
@@ -395,52 +395,52 @@ def run_block_fused(
     if plan.cat_idx is not None:
         # Fast path: one fused gather of [neighbours... | old], one
         # multiply by [beta/k... | alpha...], k slice adds, one scatter
-        # per round.  Bound methods and zipped row views keep the
-        # interpreter's share of each round to a handful of bytecodes.
+        # per round, all into per-block scratch.  Bound methods and
+        # zipped row views keep the interpreter's share of each round
+        # to a handful of bytecodes.
+        cat_idx = plan.cat_idx
+        # One range check for the whole block, before any write: viewed
+        # as unsigned, a negative index is huge, so a single max covers
+        # both bounds.  Every index is then in range and the per-round
+        # gathers can use mode="wrap" (the identity here), which writes
+        # straight into `out`; the default mode="raise" checks each
+        # index again and buffers the result.
+        if cat_idx.size and cat_idx.view(np.uint64).max() >= flat.size:
+            raise IndexError(
+                f"block plan index out of range for {flat.size} entries "
+                f"(min {cat_idx.min()}, max {cat_idx.max()})"
+            )
         coef = plan.coef
-        gather = flat.__getitem__
+        take = flat.take
         scatter = flat.__setitem__
+        multiply = np.multiply
         add = np.add
         parts = plan.k + 1
+        g = np.empty(parts * A)
+        terms = [g[j * A:(j + 1) * A] for j in range(parts)]
+        first, second, rest = terms[0], terms[1], terms[2:]
         if record:
             # Only the written entries' old values feed the moment
             # deltas, so store just that (R, A) slice of each gather.
-            old_cut = slice((parts - 1) * A, parts * A)
+            old = terms[-1]
             old_blk = np.empty((R, A))
             new_blk = np.empty((R, A))
-            if parts == 2:
-                for ci, wi, oi, ni in zip(
-                    plan.cat_idx, plan.write_idx, old_blk, new_blk
-                ):
-                    g = gather(ci)
-                    oi[:] = g[old_cut]
-                    t = g * coef
-                    add(t[:A], t[A:], out=ni)
-                    scatter(wi, ni)
-            else:
-                cuts = [slice(j * A, (j + 1) * A) for j in range(parts)]
-                for ci, wi, oi, ni in zip(
-                    plan.cat_idx, plan.write_idx, old_blk, new_blk
-                ):
-                    g = gather(ci)
-                    oi[:] = g[old_cut]
-                    t = g * coef
-                    add(t[cuts[0]], t[cuts[1]], out=ni)
-                    for cut in cuts[2:]:
-                        add(ni, t[cut], out=ni)
-                    scatter(wi, ni)
+            for ci, wi, oi, ni in zip(cat_idx, plan.write_idx, old_blk, new_blk):
+                take(ci, out=g, mode="wrap")
+                oi[:] = old
+                multiply(g, coef, out=g)
+                add(first, second, out=ni)
+                for term in rest:
+                    add(ni, term, out=ni)
+                scatter(wi, ni)
             return old_blk, new_blk
-        if parts == 2:
-            for ci, wi in zip(plan.cat_idx, plan.write_idx):
-                t = gather(ci) * coef
-                scatter(wi, t[:A] + t[A:])
-            return None
-        cuts = [slice(j * A, (j + 1) * A) for j in range(parts)]
-        for ci, wi in zip(plan.cat_idx, plan.write_idx):
-            t = gather(ci) * coef
-            acc = t[cuts[0]] + t[cuts[1]]
-            for cut in cuts[2:]:
-                add(acc, t[cut], out=acc)
+        acc = np.empty(A)
+        for ci, wi in zip(cat_idx, plan.write_idx):
+            take(ci, out=g, mode="wrap")
+            multiply(g, coef, out=g)
+            add(first, second, out=acc)
+            for term in rest:
+                add(acc, term, out=acc)
             scatter(wi, acc)
         return None
 

@@ -6,8 +6,11 @@ schedule (the coupling argument — same selections, same arithmetic) and
 *statistically* when each engine draws its own randomness.
 """
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.convergence import measure_t_eps, run_to_consensus
 from repro.core.edge_model import EdgeModel
@@ -16,6 +19,7 @@ from repro.core.node_model import NodeModel
 from repro.engine import (
     BatchEdgeModel,
     BatchNodeModel,
+    CyclicSchedule,
     EngineSpec,
     ResultCache,
     measure_t_eps_batch,
@@ -27,6 +31,7 @@ from repro.engine.driver import AVERAGE, PHI, WEIGHTED_AVERAGE
 from repro.exceptions import ConvergenceError, ParameterError
 from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import cycle_graph, lollipop_graph, random_regular_graph
+from repro.obs.metrics import METRICS
 from repro.theory.exact import exact_variance_trajectory
 from repro.sim.montecarlo import sample_f_values, sample_t_eps
 
@@ -249,6 +254,176 @@ class TestDrivers:
             spec, 120, seed=7, discrepancy_tol=1e-6, shard_size=48, processes=2
         )
         np.testing.assert_array_equal(serial, parallel)
+
+
+def _full_scan_consensus(batch, discrepancy_tol, max_steps, check_every=64):
+    """Reference harvest: ``batch.run(check_every)``, then a whole-row
+    max/min of every active replica at each check (no witnesses)."""
+    B = batch.replicas
+    t = np.zeros(B, dtype=np.int64)
+    value = np.empty(B)
+    residual = np.empty(B)
+    phi = np.empty(B)
+    start = batch.t
+
+    def harvest():
+        rows = np.flatnonzero(batch.active)
+        spread = batch.values.max(axis=1) - batch.values.min(axis=1)
+        done = rows[spread[rows] <= discrepancy_tol]
+        if len(done) == 0:
+            return
+        finished = batch.values[done]
+        batch._sync_snapshot()
+        s1 = finished @ batch.pi
+        s2 = (finished**2) @ batch.pi
+        t[done] = batch.t - start
+        value[done] = finished.mean(axis=1)
+        residual[done] = spread[done]
+        phi[done] = np.maximum(s2 - s1 * s1, 0.0)
+        batch.freeze(done)
+
+    harvest()
+    while batch.num_active and batch.t - start < max_steps:
+        batch.run(min(check_every, max_steps - (batch.t - start)))
+        harvest()
+    if batch.num_active:
+        raise ConvergenceError("reference harvest exhausted max_steps")
+    return t, value, residual, phi
+
+
+def _assert_same_consensus(result, reference):
+    for got, want in zip(
+        (result.t, result.value, result.residual_discrepancy, result.phi),
+        reference,
+    ):
+        assert np.array_equal(got, want)
+
+
+def _cyclic_lollipop_path():
+    return CyclicSchedule(
+        [nx.lollipop_graph(6, 4), nx.path_graph(10)], switch_every=64
+    )
+
+
+class TestWitnessHarvest:
+    """The witness-pair harvest decides exactly what a full scan decides."""
+
+    CASES = {
+        "node-k1": lambda g, x0: BatchNodeModel(g, x0, 0.5, k=1, replicas=24, seed=3),
+        "node-k2": lambda g, x0: BatchNodeModel(g, x0, 0.5, k=2, replicas=24, seed=3),
+        "lazy": lambda g, x0: BatchNodeModel(
+            g, x0, 0.5, k=1, replicas=24, seed=3, lazy=True
+        ),
+        "edge": lambda g, x0: BatchEdgeModel(g, x0, 0.5, replicas=24, seed=3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("check_every", [1, 64])
+    def test_matches_full_scan_oracle(self, regular36, values36, case, check_every):
+        build = self.CASES[case]
+        result = run_to_consensus_batch(
+            build(regular36, values36), discrepancy_tol=1e-6,
+            check_every=check_every,
+        )
+        reference = _full_scan_consensus(
+            build(regular36, values36), 1e-6, 50_000_000, check_every
+        )
+        _assert_same_consensus(result, reference)
+
+    def test_matches_full_scan_oracle_on_a_dynamic_schedule(self):
+        x0 = np.linspace(-1.0, 1.0, 10)
+
+        def build():
+            return BatchNodeModel(_cyclic_lollipop_path(), x0, 0.5, replicas=16, seed=4)
+
+        result = run_to_consensus_batch(build(), discrepancy_tol=1e-6)
+        _assert_same_consensus(result, _full_scan_consensus(build(), 1e-6, 50_000_000))
+
+    def test_phi_at_a_snapshot_switch_uses_the_next_snapshot(self):
+        """The replica finishes at t = 2816, a switch boundary: phi is
+        measured against the snapshot of the round about to run, as
+        ``batch.phi`` is (not the one that governed the last round)."""
+        batch = BatchNodeModel(
+            _cyclic_lollipop_path(), np.linspace(-1.0, 1.0, 10), 0.5,
+            replicas=1, seed=0,
+        )
+        result = run_to_consensus_batch(batch, discrepancy_tol=1e-6)
+        assert result.t[0] % 64 == 0
+        assert result.phi[0] == batch.phi[0]
+
+    def test_equal_witnesses_with_a_wide_spread_do_not_freeze(self, regular36):
+        """Scripted states: after the first scan the witnesses are nodes 1
+        (max) and 0 (min); the next state gives both the same value while
+        node 2 is far away, so the gap is 0 but the row has not
+        converged.  It must be scanned, not frozen."""
+        n = regular36.number_of_nodes()
+        script = [np.full(n, 0.5) for _ in range(3)]
+        script[0][:3] = (0.0, 1.0, 0.5)
+        script[1][:3] = (0.5, 0.5, 0.9)
+        states = iter(script[1:])
+
+        class Scripted(BatchNodeModel):
+            def run(self, steps):
+                self.values[0] = next(states)
+                self.t += steps
+
+        batch = Scripted(regular36, script[0], 0.5, replicas=1, seed=0)
+        result = run_to_consensus_batch(batch, discrepancy_tol=1e-6, check_every=10)
+        assert result.t[0] == 20
+        assert result.value[0] == 0.5
+
+    def test_nan_row_never_converges(self, regular36, values36):
+        x0 = np.vstack([values36, values36])
+        x0[1, 5] = np.nan
+        batch = BatchNodeModel(regular36, x0, 0.5, k=1, seed=2)
+        with pytest.raises(ConvergenceError, match="1 of 2 replicas"):
+            run_to_consensus_batch(batch, discrepancy_tol=1e-6, max_steps=20_000)
+        assert batch.active.tolist() == [False, True]
+
+    def test_harvest_counters_repeat_and_scan_few_rows(self, regular36, values36):
+        def counters():
+            baseline = METRICS.snapshot()
+            batch = BatchNodeModel(regular36, values36, 0.5, replicas=64, seed=6)
+            run_to_consensus_batch(batch, discrepancy_tol=1e-8)
+            delta = METRICS.delta(baseline)["counters"]
+            return delta["engine.harvest.rows"], delta["engine.harvest.scanned_rows"]
+
+        first = counters()
+        assert first == counters()
+        rows, scanned = first
+        assert 64 <= scanned < rows
+
+
+class TestWitnessHarvestProperty:
+    """Hypothesis: witness and full-scan harvests agree bit for bit."""
+
+    GRAPHS = {
+        "cycle": cycle_graph(9),
+        "lollipop": lollipop_graph(8),
+        "regular": random_regular_graph(12, 3, seed=1),
+    }
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(GRAPHS)),
+        seed=st.integers(0, 2**16),
+        tol=st.sampled_from([1e-3, 1e-6, 1e-9]),
+        check_every=st.integers(1, 100),
+        edge=st.booleans(),
+    )
+    def test_matches_full_scan_oracle(self, name, seed, tol, check_every, edge):
+        graph = self.GRAPHS[name]
+        x0 = np.random.default_rng(seed).standard_normal(graph.number_of_nodes())
+        cls = BatchEdgeModel if edge else BatchNodeModel
+
+        def build():
+            return cls(graph, x0, 0.5, replicas=6, seed=seed)
+
+        result = run_to_consensus_batch(
+            build(), discrepancy_tol=tol, check_every=check_every
+        )
+        reference = _full_scan_consensus(build(), tol, 50_000_000, check_every)
+        _assert_same_consensus(result, reference)
 
 
 class TestSampleCheckpoints:

@@ -31,6 +31,7 @@ from repro.engine import (
     resolve_kernel,
     sample_f_batch,
 )
+from repro.engine.kernels import run_block_fused
 from repro.exceptions import ParameterError
 from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import complete_graph, random_regular_graph
@@ -214,6 +215,33 @@ class TestChunkInvariance:
             regular64, values64, alpha=0.5, replicas=8, seed=5,
             kernel="fused", lazy=True,
         ))
+
+
+class TestBlockRangeCheck:
+    """The fused fast path checks a block's indices once, before any write."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("bad", [-1, "past_end"])
+    @pytest.mark.parametrize("column", ["neighbour", "write"])
+    def test_bad_index_raises_before_any_write(
+        self, regular64, values64, k, record, bad, column
+    ):
+        batch = BatchNodeModel(
+            regular64, values64, alpha=0.5, k=k, replicas=4, seed=5,
+            kernel="fused",
+        )
+        batch.run(3)
+        plan = batch._plan_block(8)
+        flat = batch.values.reshape(-1)
+        before = flat.copy()
+        # Corrupt the last round only: a per-gather check would raise
+        # after rounds 0..6 had already written.
+        entry = 0 if column == "neighbour" else plan.cat_idx.shape[1] - 1
+        plan.cat_idx[-1, entry] = flat.size if bad == "past_end" else bad
+        with pytest.raises(IndexError):
+            run_block_fused(flat, plan, batch.alpha, record)
+        np.testing.assert_array_equal(flat, before)
 
 
 @needs_numba
