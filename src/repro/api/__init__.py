@@ -37,7 +37,6 @@ from repro.api.registry import (
     engine_param,
     graph_schedule_param,
     kernel_param,
-    threads_param,
     experiment,
     experiment_ids,
     get_experiment,
@@ -74,5 +73,4 @@ __all__ = [
     "resolve_spec",
     "submit",
     "summary_table",
-    "threads_param",
 ]

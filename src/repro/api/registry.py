@@ -130,36 +130,16 @@ def kernel_param() -> ParamSpec:
 
     Selects the batch engine's stepping kernel
     (:mod:`repro.engine.kernels`); ignored by ``engine="loop"``.
-    ``auto`` consults the persisted calibration table when one exists
-    (``repro bench calibrate``) and otherwise falls back to the
-    jit-if-numba heuristic; ``jit``/``jit-par`` degrade to ``fused``
-    without numba, and ``cupy`` runs on the NumPy array-API shim
-    without CuPy.
+    ``auto`` resolves to ``jit`` when numba imports and to ``fused``
+    otherwise; an explicit ``jit`` degrades to ``fused`` without numba.
     """
     return ParamSpec(
         str,
-        "batch stepping kernel: auto (measured pick), per-round numpy, "
-        "fused blocks, serial numba jit, threaded numba jit-par, or the "
-        "cupy array-API backend (jit tiers fall back to fused without "
-        "numba)",
+        "batch stepping kernel: auto (jit if numba imports, else fused), "
+        "per-round numpy, fused blocks, or the numba jit (falls back to "
+        "fused without numba)",
         default="auto",
         choices=tuple(KERNEL_CHOICES),
-    )
-
-
-def threads_param() -> ParamSpec:
-    """The shared ``threads`` parameter of the Monte-Carlo experiments.
-
-    Requested thread count for the threaded ``jit-par`` kernel; the
-    engine clamps it to the per-worker oversubscription cap and to
-    numba's own limit, and other kernels ignore it.  ``None`` (the
-    default) leaves the runtime default in place.
-    """
-    return ParamSpec(
-        int,
-        "kernel threads for jit-par (clamped so workers x threads never "
-        "exceeds the machine); other kernels ignore it",
-        default=None,
     )
 
 
@@ -202,11 +182,6 @@ class Experiment:
     def accepts_kernel(self) -> bool:
         """Whether this experiment declares the ``kernel`` parameter."""
         return "kernel" in self.params
-
-    @property
-    def accepts_threads(self) -> bool:
-        """Whether this experiment declares the ``threads`` parameter."""
-        return "threads" in self.params
 
     @property
     def accepts_graph_schedule(self) -> bool:
@@ -259,9 +234,8 @@ def merge_engine(
     engine: str | None,
     kernel: str | None = None,
     graph_schedule: str | None = None,
-    threads: int | None = None,
 ) -> Dict[str, Any]:
-    """Fold spec-level engine/kernel/threads/schedule selections into overrides.
+    """Fold spec-level engine/kernel/schedule selections into overrides.
 
     The single home of the rule every front end shares: each selection
     participates only when the experiment *declares* the corresponding
@@ -281,12 +255,6 @@ def merge_engine(
         and "kernel" not in merged
     ):
         merged["kernel"] = kernel
-    if (
-        threads is not None
-        and experiment.accepts_threads
-        and "threads" not in merged
-    ):
-        merged["threads"] = threads
     if (
         graph_schedule is not None
         and experiment.accepts_graph_schedule

@@ -28,8 +28,8 @@ from repro.graphs.adjacency import collect_content_hashes
 def resolve_spec(spec: RunSpec) -> Dict[str, Any]:
     """Resolved parameter dict for ``spec`` (defaults < preset < overrides).
 
-    ``spec.engine``, ``spec.kernel``, ``spec.threads`` and
-    ``spec.graph_schedule`` are folded in per
+    ``spec.engine``, ``spec.kernel`` and ``spec.graph_schedule`` are
+    folded in per
     :func:`repro.api.registry.merge_engine`: each participates only for
     experiments that declare the corresponding parameter, and explicit
     keys in ``spec.overrides`` win.
@@ -39,53 +39,32 @@ def resolve_spec(spec: RunSpec) -> Dict[str, Any]:
         spec.preset,
         merge_engine(
             experiment, spec.overrides, spec.engine, spec.kernel,
-            spec.graph_schedule, threads=spec.threads,
+            spec.graph_schedule,
         ),
     )
 
 
 def _kernel_provenance(
     parameters: Dict[str, Any],
-) -> tuple[str | None, str | None, int | None]:
-    """``(kernel, reason, threads)`` the engine will actually dispatch.
+) -> tuple[str | None, str | None]:
+    """``(kernel, reason)`` the engine will actually dispatch.
 
-    Experiments that do not declare a ``kernel`` parameter report none;
-    for the rest the requested name is resolved exactly as the batch
-    models resolve it, so provenance records ``"fused"`` when a ``"jit"``
-    request degraded (the silent-fallback fix), the auto-pick reason
-    (``"calibrated"`` / ``"heuristic"``), and the post-cap effective
-    thread count when a thread count was requested or a threaded kernel
-    selected.
+    Experiments that do not declare a ``kernel`` parameter, and runs on
+    the loop engine, report none; for the rest the requested name is
+    resolved exactly as the batch models resolve it, so provenance
+    records ``"fused"`` when a ``"jit"`` request degraded, with reason
+    ``"heuristic"`` for ``kernel="auto"``, ``"explicit"`` for a named
+    kernel that ran and ``"fallback"`` for one that did not.
     """
     requested = parameters.get("kernel")
-    if requested is None:
-        return None, None, None
-    from repro.engine.kernels import (
-        autopick_kernel,
-        effective_thread_count,
-        resolve_kernel,
-    )
+    if requested is None or parameters.get("engine") == "loop":
+        return None, None
+    from repro.engine.kernels import resolve_kernel
 
-    requested_threads = parameters.get("threads")
-    try:
-        if str(requested) == "auto":
-            kernel, reason = autopick_kernel(
-                "node",
-                int(parameters.get("k") or 1),
-                int(parameters.get("n") or 1),
-                int(parameters.get("replicas") or 1),
-            )
-        else:
-            kernel = resolve_kernel(str(requested))
-            reason = "explicit" if kernel == str(requested) else "fallback"
-    except Exception:
-        return None, None, None
-    threads = None
-    if kernel == "jit-par" or requested_threads is not None:
-        threads = effective_thread_count(
-            None if requested_threads is None else int(requested_threads)
-        )
-    return kernel, reason, threads
+    kernel = resolve_kernel(requested)
+    if requested == "auto":
+        return kernel, "heuristic"
+    return kernel, "explicit" if kernel == requested else "fallback"
 
 
 def execute(spec: RunSpec) -> RunResult:
@@ -115,7 +94,7 @@ def execute(spec: RunSpec) -> RunResult:
             started = time.perf_counter()
             tables = experiment.fn(seed=spec.seed, **parameters)
             wall_time = time.perf_counter() - started
-    kernel, kernel_reason, threads = _kernel_provenance(parameters)
+    kernel, kernel_reason = _kernel_provenance(parameters)
     return RunResult(
         spec=spec,
         tables=list(tables),
@@ -128,7 +107,6 @@ def execute(spec: RunSpec) -> RunResult:
             timestamp=time.time(),
             kernel=kernel,
             kernel_reason=kernel_reason,
-            threads=threads,
         ),
         telemetry=telemetry,
     )

@@ -24,7 +24,7 @@ from repro.exceptions import SpecError
 from repro.sim.results import ResultTable
 
 _SPEC_FIELDS = (
-    "experiment_id", "preset", "seed", "engine", "kernel", "threads",
+    "experiment_id", "preset", "seed", "engine", "kernel",
     "graph_schedule", "overrides", "markdown", "trace", "timeout_s",
 )
 
@@ -47,7 +47,6 @@ class RunSpec:
     seed: int = 0
     engine: str | None = None
     kernel: str | None = None
-    threads: int | None = None
     graph_schedule: str | None = None
     overrides: Dict[str, Any] = field(default_factory=dict)
     markdown: bool = False
@@ -67,16 +66,6 @@ class RunSpec:
             raise SpecError("experiment_id must be a non-empty string")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise SpecError(f"seed must be an int, got {self.seed!r}")
-        if self.threads is not None:
-            if (
-                isinstance(self.threads, bool)
-                or not isinstance(self.threads, int)
-                or self.threads < 1
-            ):
-                raise SpecError(
-                    f"threads must be a positive int or None, "
-                    f"got {self.threads!r}"
-                )
         if self.timeout_s is not None:
             if isinstance(self.timeout_s, bool) or not isinstance(
                 self.timeout_s, (int, float)
@@ -104,14 +93,22 @@ class RunSpec:
     def from_payload(cls, payload: Mapping[str, Any]) -> "RunSpec":
         if not isinstance(payload, Mapping):
             raise SpecError(f"run spec payload must be a mapping, got {payload!r}")
-        unknown = [key for key in payload if key not in _SPEC_FIELDS]
+        fields = dict(payload)
+        # Specs stored before the kernel thread knob was removed carry
+        # "threads": null; only a set value has lost its meaning.
+        if fields.pop("threads", None) is not None:
+            raise SpecError(
+                "run spec sets 'threads', a kernel thread knob that has "
+                "been removed; drop the field"
+            )
+        unknown = [key for key in fields if key not in _SPEC_FIELDS]
         if unknown:
             raise SpecError(
                 f"run spec payload has unknown fields: {', '.join(unknown)}"
             )
-        if "experiment_id" not in payload:
+        if "experiment_id" not in fields:
             raise SpecError("run spec payload is missing 'experiment_id'")
-        return cls(**dict(payload))
+        return cls(**fields)
 
     def to_json(self) -> str:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
@@ -145,15 +142,13 @@ class RunSpec:
             fallback["engine"] = self.engine
         if self.kernel is not None and "kernel" not in fallback:
             fallback["kernel"] = self.kernel
-        if self.threads is not None and "threads" not in fallback:
-            fallback["threads"] = self.threads
         if self.graph_schedule is not None and "graph_schedule" not in fallback:
             fallback["graph_schedule"] = self.graph_schedule
         try:
             experiment = get_experiment(self.experiment_id)
             merged = merge_engine(
                 experiment, self.overrides, self.engine, self.kernel,
-                self.graph_schedule, threads=self.threads,
+                self.graph_schedule,
             )
             resolved = experiment.resolve(self.preset, merged)
             baseline = experiment.resolve(self.preset)
@@ -188,8 +183,6 @@ class RunSpec:
             extras.append(f"engine={self.engine}")
         if self.kernel is not None:
             extras.append(f"kernel={self.kernel}")
-        if self.threads is not None:
-            extras.append(f"threads={self.threads}")
         if self.graph_schedule is not None:
             extras.append(f"schedule={self.graph_schedule}")
         extras += [f"{k}={v}" for k, v in sorted(self.overrides.items())]
@@ -210,12 +203,9 @@ class Provenance:
     #: ``"jit"`` that degraded to ``"fused"``), when the run used one.
     kernel: str | None = None
     #: Why that kernel was picked: ``"explicit"`` (the caller named it),
-    #: ``"calibrated"`` / ``"heuristic"`` (the two ``kernel="auto"``
-    #: paths) or ``"fallback"`` (requested backend unavailable).
+    #: ``"heuristic"`` (``kernel="auto"``) or ``"fallback"`` (requested
+    #: backend unavailable).
     kernel_reason: str | None = None
-    #: Effective kernel threads (after the oversubscription cap), when
-    #: the run requested a threaded kernel.
-    threads: int | None = None
 
     def to_payload(self) -> dict:
         return _normalise(asdict(self))
@@ -232,7 +222,6 @@ class Provenance:
                 timestamp=float(payload["timestamp"]),
                 kernel=payload.get("kernel"),
                 kernel_reason=payload.get("kernel_reason"),
-                threads=payload.get("threads"),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise SpecError(f"malformed provenance payload: {error}") from error

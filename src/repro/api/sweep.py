@@ -26,7 +26,6 @@ def expand_grid(
     seed: int = 0,
     engine: str | None = None,
     kernel: str | None = None,
-    threads: int | None = None,
     graph_schedule: str | None = None,
     overrides: Mapping[str, Any] | None = None,
 ) -> List[RunSpec]:
@@ -63,7 +62,6 @@ def expand_grid(
             seed=seed,
             engine=engine,
             kernel=kernel,
-            threads=threads,
             graph_schedule=graph_schedule,
             overrides={**common, **point},
         )
@@ -71,7 +69,7 @@ def expand_grid(
             preset,
             merge_engine(
                 experiment, spec.overrides, spec.engine, spec.kernel,
-                spec.graph_schedule, threads=spec.threads,
+                spec.graph_schedule,
             ),
         )
         specs.append(spec)

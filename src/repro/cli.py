@@ -41,11 +41,7 @@ forward runs.
 ``diff`` exits 0 when the runs match within tolerance, 1 otherwise.
 
 ``--kernel`` selects the batch engine's stepping kernel (``auto`` |
-``numpy`` | ``fused`` | ``jit`` | ``jit-par`` | ``cupy``) and
-``--threads`` the thread budget of the threaded ``jit-par`` tier;
-``repro bench calibrate [--smoke]`` measures the kernel grid on this
-machine and persists the calibration table ``kernel="auto"`` consults
-(see :mod:`repro.engine.calibration`).
+``numpy`` | ``fused`` | ``jit``; see :mod:`repro.engine.kernels`).
 
 The pre-subcommand invocation ``python -m repro.cli [ids...] [--slow]
 [--engine batch|loop] [--kernel auto|numpy|fused|jit] [--markdown]
@@ -83,7 +79,7 @@ from repro.io import ResultBundle, save_bundle
 from repro.jobs.handle import DEFAULT_ROOT as JOBS_DEFAULT_ROOT
 
 SUBCOMMANDS = (
-    "run", "list", "sweep", "diff", "trace", "cache", "bench",
+    "run", "list", "sweep", "diff", "trace", "cache",
     "serve", "submit", "status", "fetch", "jobs", "fsck",
 )
 
@@ -129,17 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=KERNEL_CHOICES,
         default=None,
         help=(
-            "stepping kernel of the batch engine: auto (measured pick; "
-            "default), the legacy per-round numpy path, fused multi-round "
-            "blocks, the serial/threaded numba jits, or the cupy array-API "
-            "backend (jit tiers fall back to fused without numba)"
+            "stepping kernel of the batch engine: auto (jit if numba "
+            "imports, else fused; default), the legacy per-round numpy "
+            "path, fused multi-round blocks, or the numba jit (falls back "
+            "to fused without numba)"
         ),
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="kernel threads for --kernel jit-par (clamped to the machine)",
     )
     parser.add_argument(
         "--markdown", action="store_true", help="render tables as markdown"
@@ -179,9 +169,6 @@ def build_cli_parser() -> argparse.ArgumentParser:
                           "absorbing-chain solver)")
     run.add_argument("--kernel", choices=KERNEL_CHOICES, default=None,
                      help="stepping kernel of the batch engine")
-    run.add_argument("--threads", type=int, default=None,
-                     help="kernel threads for jit-par (experiments that "
-                          "declare the parameter)")
     run.add_argument("--schedule", dest="graph_schedule",
                      choices=SCHEDULE_KINDS, default=None,
                      help="snapshot stream of dynamic-graph experiments")
@@ -223,7 +210,6 @@ def build_cli_parser() -> argparse.ArgumentParser:
     swp.add_argument("--engine", choices=("batch", "loop", "exact"),
                      default=None)
     swp.add_argument("--kernel", choices=KERNEL_CHOICES, default=None)
-    swp.add_argument("--threads", type=int, default=None)
     swp.add_argument("--schedule", dest="graph_schedule",
                      choices=SCHEDULE_KINDS, default=None)
     swp.add_argument("--switch-every", dest="switch_every", type=int,
@@ -289,32 +275,6 @@ def build_cli_parser() -> argparse.ArgumentParser:
                      default=None, metavar="SECONDS",
                      help="evict only entries older than this age")
 
-    bch = sub.add_parser(
-        "bench", help="benchmark/calibrate the batch engine's kernels"
-    )
-    bch_sub = bch.add_subparsers(dest="action", required=True)
-    bcl = bch_sub.add_parser(
-        "calibrate",
-        help=(
-            "measure the kernel grid on this machine and persist the "
-            "calibration table kernel=auto consults"
-        ),
-    )
-    bcl.add_argument("--smoke", action="store_true",
-                     help="seconds-scale grid (one tiny shape per model "
-                          "kind) for CI")
-    bcl.add_argument("--out", metavar="PATH", default=None,
-                     help="write the table here instead of the default "
-                          "($REPRO_CALIBRATION or ~/.cache/repro/"
-                          "kernel_calibration.json)")
-    bcl.add_argument("--rounds", type=int, default=None,
-                     help="measured rounds per cell (default 512, 64 with "
-                          "--smoke)")
-    bcl.add_argument("--repeats", type=int, default=2,
-                     help="best-of repeats per cell (default 2)")
-    bcl.add_argument("--json", action="store_true",
-                     help="emit the table payload as JSON")
-
     # ------------------------------------------------------------------
     # Job service (repro.jobs)
     # ------------------------------------------------------------------
@@ -352,7 +312,6 @@ def build_cli_parser() -> argparse.ArgumentParser:
     sbm.add_argument("--engine", choices=("batch", "loop", "exact"),
                      default=None)
     sbm.add_argument("--kernel", choices=KERNEL_CHOICES, default=None)
-    sbm.add_argument("--threads", type=int, default=None)
     sbm.add_argument("--schedule", dest="graph_schedule",
                      choices=SCHEDULE_KINDS, default=None)
     sbm.add_argument("--switch-every", dest="switch_every", type=int,
@@ -512,7 +471,6 @@ def _run_cmd(args: argparse.Namespace) -> int:
             seed=args.seed,
             engine=args.engine,
             kernel=args.kernel,
-            threads=args.threads,
             graph_schedule=args.graph_schedule,
             overrides=_fold_dynamic_flags(
                 experiment_id,
@@ -608,7 +566,6 @@ def _sweep_cmd(args: argparse.Namespace) -> int:
         seed=args.seed,
         engine=args.engine,
         kernel=args.kernel,
-        threads=args.threads,
         graph_schedule=args.graph_schedule,
         overrides=_fold_dynamic_flags(
             args.id, _coerce_overrides(args.id, fixed), args
@@ -761,33 +718,6 @@ def _cache_cmd(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_cmd(args: argparse.Namespace) -> int:
-    from repro.engine.calibration import calibrate
-
-    table, path = calibrate(
-        smoke=args.smoke,
-        out=Path(args.out) if args.out else None,
-        rounds=args.rounds,
-        repeats=args.repeats,
-    )
-    if args.json:
-        payload = table.to_payload()
-        payload["path"] = str(path)
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(f"calibrated {len(table.cells)} cell(s) -> {path}")
-    for cell in table.cells:
-        rates = ", ".join(
-            f"{kernel}={rate:.3g}" if rate is not None else f"{kernel}=n/a"
-            for kernel, rate in sorted(cell.rates.items())
-        )
-        print(
-            f"  {cell.kind:<4} k={cell.k} n={cell.n} B={cell.replicas}: "
-            f"{rates}  (replica-rounds/s)"
-        )
-    return 0
-
-
 # ----------------------------------------------------------------------
 # Job service subcommands
 # ----------------------------------------------------------------------
@@ -836,7 +766,6 @@ def _submit_cmd(args: argparse.Namespace) -> int:
             seed=args.seed,
             engine=args.engine,
             kernel=args.kernel,
-            threads=args.threads,
             graph_schedule=args.graph_schedule,
             overrides=_fold_dynamic_flags(
                 experiment_id,
@@ -1054,7 +983,6 @@ def _legacy_main(argv: Sequence[str]) -> int:
             seed=args.seed,
             engine=args.engine,
             kernel=args.kernel,
-            threads=args.threads,
             markdown=args.markdown,
         )
         started = time.perf_counter()
@@ -1078,7 +1006,7 @@ def _legacy_main(argv: Sequence[str]) -> int:
 # Entry point
 # ----------------------------------------------------------------------
 #: Legacy flags that consume the following token as their value.
-_VALUE_FLAGS = ("--seed", "--engine", "--kernel", "--threads", "--save")
+_VALUE_FLAGS = ("--seed", "--engine", "--kernel", "--save")
 
 
 def _is_legacy(argv: Sequence[str]) -> bool:
@@ -1112,7 +1040,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             "diff": _diff_cmd,
             "trace": _trace_cmd,
             "cache": _cache_cmd,
-            "bench": _bench_cmd,
             "serve": _serve_cmd,
             "submit": _submit_cmd,
             "status": _status_cmd,

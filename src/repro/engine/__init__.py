@@ -20,13 +20,8 @@ Layers
     ``BatchNodeModel`` / ``BatchEdgeModel`` and their lazy variants.
 :mod:`repro.engine.kernels`
     Fused multi-round stepping kernels: pre-drawn block randomness, a
-    minimal-dispatch NumPy inner loop, optional numba backends (the
-    serial ``"jit"`` and the replica-sharded ``"jit-par"``), and the
-    statistical-parity array-API backend (``"cupy"``); the full dial is
-    ``kernel="auto"|"numpy"|"fused"|"jit"|"jit-par"|"cupy"``.
-:mod:`repro.engine.calibration`
-    The persisted per-machine calibration table behind the measured
-    ``kernel="auto"`` regime picker (``repro bench calibrate``).
+    minimal-dispatch NumPy inner loop and an optional numba ``"jit"``
+    backend; the full dial is ``kernel="auto"|"numpy"|"fused"|"jit"``.
 :mod:`repro.engine.driver`
     Run-to-consensus over a batch, replica sharding, multiprocessing,
     and the picklable :class:`~repro.engine.driver.EngineSpec`.
@@ -59,23 +54,10 @@ from repro.engine.dynamic import (
     RewiringSchedule,
     build_schedule,
 )
-from repro.engine.calibration import (
-    CalibrationCell,
-    CalibrationTable,
-    calibrate,
-    calibration_path,
-    load_calibration,
-)
 from repro.engine.kernels import (
     KERNEL_CHOICES,
-    STREAM_EXACT_KERNELS,
-    autopick_kernel,
-    available_kernels,
-    cupy_available,
-    effective_thread_count,
     numba_available,
     resolve_kernel,
-    set_thread_cap,
     validate_kernel,
 )
 from repro.engine.batch import (
@@ -115,8 +97,6 @@ __all__ = [
     "BatchNodeModel",
     "BatchWalks",
     "CSRBackend",
-    "CalibrationCell",
-    "CalibrationTable",
     "DUAL_KINDS",
     "DualSpec",
     "RecordedSelections",
@@ -131,21 +111,12 @@ __all__ = [
     "ResultCache",
     "RewiringSchedule",
     "SCHEDULE_KINDS",
-    "STREAM_EXACT_KERNELS",
     "SamplingBackend",
     "SnapshotBackends",
-    "autopick_kernel",
-    "available_kernels",
     "build_schedule",
-    "calibrate",
-    "calibration_path",
-    "cupy_available",
-    "effective_thread_count",
-    "load_calibration",
     "measure_t_eps_batch",
     "numba_available",
     "resolve_kernel",
-    "set_thread_cap",
     "validate_kernel",
     "run_to_consensus_batch",
     "sample_checkpoints_batch",

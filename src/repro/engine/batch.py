@@ -12,14 +12,12 @@ Stepping is delegated to a pluggable *kernel*
 (:mod:`repro.engine.kernels`): ``"numpy"`` is the original per-round
 path (one RNG call plus a dozen NumPy dispatches per time step, kept as
 the bit-compatible PR-1 reference), while the block kernels
-(``"fused"``, ``"jit"``, the threaded ``"jit-par"``, and the array-API
-``"cupy"`` backend) advance the batch by blocks of :attr:`block_rounds`
-rounds per Python call — all block randomness pre-drawn in one C-order
-call, all value-independent index arithmetic hoisted out of the round
-loop, and (for the numba kernels) the whole block executed by one
-compiled loop over the same variates, so fused, jit and jit-par
-trajectories are bit-identical at a fixed seed (the device backend
-promises statistical parity instead; see
+(``"fused"`` and ``"jit"``) advance the batch by blocks of
+:attr:`block_rounds` rounds per Python call — all block randomness
+pre-drawn in one C-order call, all value-independent index arithmetic
+hoisted out of the round loop, and (for ``"jit"``) the whole block
+executed by one compiled loop over the same variates, so fused and jit
+trajectories are bit-identical at a fixed seed (see
 :mod:`repro.engine.kernels`).
 
 The per-replica potential ``phi`` is tracked via pi-weighted first and
@@ -59,8 +57,6 @@ from repro.engine.dynamic import GraphSchedule
 from repro.engine.kernels import (
     DEFAULT_BLOCK_ROUNDS,
     BlockPlan,
-    autopick_kernel,
-    configure_threads,
     make_block_executor,
     resolve_kernel,
 )
@@ -117,23 +113,11 @@ class BatchAveragingProcess(abc.ABC):
         ``"auto"`` | ``"dense"`` | ``"csr"`` — see
         :mod:`repro.engine.backend`.
     kernel:
-        One of :data:`~repro.engine.kernels.KERNEL_CHOICES`.
-        ``"auto"`` (default) resolves via the measured regime picker
-        (:func:`~repro.engine.kernels.autopick_kernel`): the persisted
-        calibration table keyed on ``(kind, k, n, B)`` when one exists,
-        else the jit-if-numba heuristic.  The resolved name, the pick
-        reason (``calibrated`` / ``heuristic`` / ``explicit`` /
-        ``fallback``) and the effective thread count are exposed as
-        :attr:`kernel`, :attr:`kernel_reason` and
-        :attr:`effective_threads`.
-    threads:
-        Thread budget of the ``"jit-par"`` kernel (``None`` = all
-        available, as capped by the multiprocessing sharder); other
-        kernels ignore it.
+        One of :data:`~repro.engine.kernels.KERNEL_CHOICES`, resolved
+        by :func:`~repro.engine.kernels.resolve_kernel`: ``"auto"``
+        (default) runs ``"jit"`` when numba imports and ``"fused"``
+        otherwise.  The resolved name is exposed as :attr:`kernel`.
     """
-
-    #: Calibration/workload kind; overridden by the edge model.
-    _model_kind = "node"
 
     def __init__(
         self,
@@ -145,7 +129,6 @@ class BatchAveragingProcess(abc.ABC):
         lazy: bool = False,
         backend: str = "auto",
         kernel: str = "auto",
-        threads: int | None = None,
     ) -> None:
         if not 0.0 <= alpha < 1.0:
             raise ParameterError(f"alpha must be in [0, 1), got {alpha}")
@@ -213,8 +196,7 @@ class BatchAveragingProcess(abc.ABC):
             )
         self._backend_name = backend
         self.kernel_requested = kernel
-        self.threads = threads
-        self._finalise_kernel()
+        self.kernel = resolve_kernel(kernel)
         self.block_rounds = DEFAULT_BLOCK_ROUNDS
         self._block_exec = make_block_executor(self.kernel)
         # The flat view of `values` every gather/scatter indexes into.
@@ -237,48 +219,6 @@ class BatchAveragingProcess(abc.ABC):
             "engine.state_peak_bytes",
             self.values.nbytes + self._s1.nbytes + self._s2.nbytes,
         )
-
-    def _finalise_kernel(self) -> None:
-        """Resolve the requested kernel with full workload context.
-
-        ``"auto"`` goes through the measured regime picker
-        (:func:`~repro.engine.kernels.autopick_kernel`) keyed on this
-        batch's ``(kind, k, n, B)``; the pick and its reason are
-        counted on the ``engine.kernel_autopick`` counters so traced
-        runs and sweeps can report which backend actually ran per cell.
-        Explicit requests resolve as before (with the visible fused
-        fallback for numba kernels in numba-less processes).  The
-        thread budget is applied here, once per batch.
-        """
-        requested = self.kernel_requested
-        if requested == "auto":
-            picked, reason = autopick_kernel(
-                self._model_kind,
-                getattr(self, "k", 1),
-                self.adjacency.n,
-                self.values.shape[0],
-            )
-            METRICS.count("engine.kernel_autopick")
-            METRICS.count(f"engine.kernel_autopick.{picked}.{reason}")
-        else:
-            picked = resolve_kernel(requested)
-            reason = "explicit" if picked == requested else "fallback"
-        self.kernel = picked
-        self.kernel_reason = reason
-        self.effective_threads = (
-            configure_threads(self.threads) if picked == "jit-par" else 1
-        )
-
-    def _sync_kernel_state(self) -> None:
-        """Download device-resident kernel state back into ``values``.
-
-        A no-op for host-memory kernels; for the array-API backend this
-        is the hand-back point after free-running blocks (see
-        :class:`~repro.engine.kernels.ArrayApiBlockExecutor`).
-        """
-        sync = getattr(self._block_exec, "sync_host", None)
-        if sync is not None:
-            sync(self._flat)
 
     # ------------------------------------------------------------------
     # Shape and activity
@@ -563,9 +503,6 @@ class BatchAveragingProcess(abc.ABC):
             self._moments_dirty = True
             self.t += rounds
             remaining -= rounds
-        # Device-state kernels stay resident across the blocks above and
-        # hand authority back to the host here, where callers may read.
-        self._sync_kernel_state()
 
     def _count_block(self, rounds: int) -> None:
         """Per-block work accounting (amortised: never per round)."""
@@ -867,7 +804,6 @@ class BatchAveragingProcess(abc.ABC):
 
     def resync_moments(self) -> None:
         """Recompute the pi-weighted moments exactly from the state."""
-        self._sync_kernel_state()
         self._flat = self.values.reshape(-1)
         self._s1 = self.values @ self._pi
         self._s2 = (self.values * self.values) @ self._pi
@@ -915,9 +851,7 @@ class BatchNodeModel(BatchAveragingProcess):
         lazy: bool = False,
         backend: str = "auto",
         kernel: str = "auto",
-        threads: int | None = None,
     ) -> None:
-        # Set before base init so the kernel auto-pick keys on k.
         self.k = int(k)
         super().__init__(
             graph,
@@ -928,7 +862,6 @@ class BatchNodeModel(BatchAveragingProcess):
             lazy=lazy,
             backend=backend,
             kernel=kernel,
-            threads=threads,
         )
         if self.graph_schedule is not None:
             # Stacked multi-snapshot form: one (S, n, d_max) dense table
@@ -1004,8 +937,6 @@ class BatchNodeModel(BatchAveragingProcess):
 class BatchEdgeModel(BatchAveragingProcess):
     """Batched EdgeModel (Definition 2.3): uniform directed edge."""
 
-    _model_kind = "edge"
-
     def __init__(
         self,
         graph: nx.Graph | Adjacency,
@@ -1016,7 +947,6 @@ class BatchEdgeModel(BatchAveragingProcess):
         lazy: bool = False,
         backend: str = "auto",
         kernel: str = "auto",
-        threads: int | None = None,
     ) -> None:
         super().__init__(
             graph,
@@ -1027,7 +957,6 @@ class BatchEdgeModel(BatchAveragingProcess):
             lazy=lazy,
             backend=backend,
             kernel=kernel,
-            threads=threads,
         )
         if self.graph_schedule is not None:
             self._edges = [

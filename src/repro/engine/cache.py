@@ -14,15 +14,9 @@ a live ``Generator`` whose position is unknowable, ``load`` and
 Key audit (what can and cannot alias)
 -------------------------------------
 The spec token carries the RNG *stream class*, not the kernel name:
-``fused``/``jit``/``jit-par`` are bit-identical and share one key;
-``numpy`` (legacy layout) and ``cupy`` (statistical-parity device
-stream) each key separately.  ``kernel="auto"``'s measured pick is
-restricted to the stream-exact set and the stream class is computed
-without consulting the calibration table, so installing, refreshing or
-deleting a calibration table can never change a key.  An explicit
-``threads=`` request is appended (``|th=N``) for block streams as a
-conservative perf-A/B split; the default ``threads=None`` leaves every
-pre-existing key byte-identical to earlier versions.
+``fused`` and ``jit`` are bit-identical and share one key, which
+``kernel="auto"`` (always one of the two) shares as well; ``numpy``
+(legacy layout) keys separately.
 
 Entries are crash-consistent: the sidecar records the sha256 of the
 array file's bytes, ``load`` verifies it and quarantines mismatches

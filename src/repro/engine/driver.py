@@ -38,7 +38,6 @@ from repro.engine.dynamic import GraphSchedule
 from repro.engine.kernels import (
     DEFAULT_BLOCK_ROUNDS,
     resolve_kernel,
-    set_thread_cap,
     validate_kernel,
 )
 from repro.exceptions import ConvergenceError, ParameterError
@@ -70,7 +69,6 @@ class EngineSpec:
     lazy: bool = False
     backend: str = "auto"
     kernel: str = "auto"
-    threads: Optional[int] = None
     graph_schedule: Optional[GraphSchedule] = None
     block_rounds: Optional[int] = None
 
@@ -78,10 +76,6 @@ class EngineSpec:
         if self.kind not in ("node", "edge"):
             raise ParameterError(f"kind must be 'node' or 'edge', got {self.kind!r}")
         validate_kernel(self.kernel)
-        if self.threads is not None and self.threads < 1:
-            raise ParameterError(
-                f"threads must be positive, got {self.threads}"
-            )
         if self.block_rounds is not None and self.block_rounds < 1:
             raise ParameterError(
                 f"block_rounds must be positive, got {self.block_rounds}"
@@ -128,7 +122,6 @@ class EngineSpec:
             and self.lazy == other.lazy
             and self.backend == other.backend
             and self.kernel == other.kernel
-            and self.threads == other.threads
             and self.graph_schedule == other.graph_schedule
             and self.block_rounds == other.block_rounds
         )
@@ -186,7 +179,6 @@ class EngineSpec:
                 lazy=self.lazy,
                 backend=self.backend,
                 kernel=self.kernel,
-                threads=self.threads,
             )
         else:
             batch = BatchEdgeModel(
@@ -198,7 +190,6 @@ class EngineSpec:
                 lazy=self.lazy,
                 backend=self.backend,
                 kernel=self.kernel,
-                threads=self.threads,
             )
         if self.block_rounds is not None:
             batch.block_rounds = int(self.block_rounds)
@@ -209,38 +200,23 @@ class EngineSpec:
 
         Backends are bit-identical at a fixed seed and do not
         participate.  Kernels split into RNG *stream classes*: the
-        legacy per-round ``"numpy"`` layout, the block layout shared
-        (bit-identically) by ``"fused"``, ``"jit"`` and ``"jit-par"``,
-        and the statistical-parity ``"cupy"`` device stream — cached
-        samples are keyed by stream class so every stream-exact block
-        run reuses the others' results while legacy and device runs
-        stay distinct.  The stream class is computed context-free via
-        :func:`~repro.engine.kernels.resolve_kernel` — never from the
-        calibration table — so ``kernel="auto"``'s measured pick can
-        only land inside the stream-exact set and cannot change the
-        token (see the calibration-independence audit in
-        ``tests/test_kernels.py``).  Block streams additionally key on
-        the (normalised) ``block_rounds``: the realized trajectory of
-        the rejection-sampled high-degree ``k``-subset regime depends
-        on the block size, so a cache hit across differing block sizes
-        must be impossible.  An explicit ``threads=`` request is
-        appended for block streams (``|th=N``) — jit-par trajectories
-        are bit-identical across thread counts, but the knob keys
-        conservatively so perf A/B runs never alias; the default
-        ``threads=None`` leaves every pre-existing token unchanged.
-        Dynamic topologies append the schedule's content hash, which
+        legacy per-round ``"numpy"`` layout and the block layout shared
+        (bit-identically) by ``"fused"`` and ``"jit"`` — cached samples
+        are keyed by stream class so a fused run reuses a jit run's
+        results while legacy runs stay distinct.  The stream class is
+        computed via :func:`~repro.engine.kernels.resolve_kernel`, and
+        ``kernel="auto"`` only ever resolves to a block kernel.  Block
+        streams additionally key on the (normalised) ``block_rounds``:
+        the realized trajectory of the rejection-sampled high-degree
+        ``k``-subset regime depends on the block size, so a cache hit
+        across differing block sizes must be impossible.  Dynamic
+        topologies append the schedule's content hash, which
         pins the full snapshot stream (snapshots, cadence, kind, seed).
         """
         values = np.ascontiguousarray(self.initial_values)
         digest = hashlib.sha256(values.tobytes()).hexdigest()[:16]
         k = self.k if self.kind == "node" else 1
-        resolved = resolve_kernel(self.kernel)
-        if resolved == "numpy":
-            stream = "legacy"
-        elif resolved == "cupy":
-            stream = "cupy"
-        else:
-            stream = "block"
+        stream = "legacy" if resolve_kernel(self.kernel) == "numpy" else "block"
         token = (
             f"{self.kind}|g={self.adjacency.content_hash()[:16]}"
             f"|x0={digest}|alpha={self.alpha!r}|k={k}|lazy={int(self.lazy)}"
@@ -253,8 +229,6 @@ class EngineSpec:
                 else int(self.block_rounds)
             )
             token += f"|br={rounds}"
-        if stream == "block" and self.threads is not None:
-            token += f"|th={int(self.threads)}"
         if self.graph_schedule is not None:
             token += f"|sched={self.graph_schedule.content_hash()[:16]}"
         return token
@@ -465,23 +439,6 @@ def _run_shard_checkpoints(
     return out
 
 
-def _init_worker_threads(cap: int) -> None:
-    """Pool initializer: bound kernel threads inside each worker.
-
-    With ``processes`` workers each potentially running a threaded
-    kernel (``jit-par``), the product ``workers x threads`` must not
-    exceed the machine — each worker gets an equal share of the cores
-    (at least one), applied before any batch is built in that process.
-    """
-    set_thread_cap(cap)
-
-
-def _worker_thread_cap(processes: int, shards: int) -> int:
-    """Per-worker thread budget: split cores over the live workers."""
-    workers = max(1, min(processes, shards))
-    return max(1, (os.cpu_count() or 1) // workers)
-
-
 def _traced_worker(worker, spec: EngineSpec, replicas: int, seed, args):
     """Run ``worker`` in a child process under its own tracer.
 
@@ -530,11 +487,7 @@ def _run_sharded(
                 parts.append(worker(spec, size, child, *args))
             METRICS.gauge("engine.shard_seconds", time.perf_counter() - t0)
     elif not tracer.enabled:
-        with ProcessPoolExecutor(
-            max_workers=processes,
-            initializer=_init_worker_threads,
-            initargs=(_worker_thread_cap(processes, len(sizes)),),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = [
                 pool.submit(worker, spec, size, child, *args)
                 for size, child in zip(sizes, children)
@@ -545,11 +498,7 @@ def _run_sharded(
         # ships its spans (plus run-scoped counters) back with the
         # shard result; the parent re-attaches them under a per-shard
         # span, shifted onto its own clock.
-        with ProcessPoolExecutor(
-            max_workers=processes,
-            initializer=_init_worker_threads,
-            initargs=(_worker_thread_cap(processes, len(sizes)),),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = [
                 pool.submit(_traced_worker, worker, spec, size, child, args)
                 for size, child in zip(sizes, children)

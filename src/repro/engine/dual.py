@@ -65,7 +65,6 @@ from repro.engine.selection import (
     normalise_picked,
 )
 from repro.engine.backend import select_backend
-from repro.engine.kernels import array_namespace, resolve_kernel, validate_kernel
 from repro.exceptions import ConvergenceError, ParameterError
 from repro.graphs.adjacency import Adjacency
 from repro.obs.metrics import METRICS
@@ -217,13 +216,6 @@ class BatchDiffusion(BatchDualProcess):
         commodity ``u`` on node ``u``), an ``(n,)`` vector, an
         ``(n, r)`` matrix broadcast to every replica, or a full
         ``(B, n, r)`` array.
-    kernel:
-        ``"auto"`` (host NumPy, the default) or ``"cupy"`` — the
-        array-API backend keeps the flat ``(B * n, r)`` load matrix
-        on-device for the whole of each :meth:`apply_selections` block
-        (statistical-parity contract; bit-identical under the NumPy
-        shim).  The stream-exact primal kernels have no distinct dual
-        implementation and alias the host path.
     """
 
     def __init__(
@@ -236,19 +228,10 @@ class BatchDiffusion(BatchDualProcess):
         loads: np.ndarray | None = None,
         seed: SeedLike = None,
         backend: str = "auto",
-        kernel: str = "auto",
     ) -> None:
         super().__init__(
             graph, alpha, k=k, replicas=replicas, seed=seed, backend=backend
         )
-        validate_kernel(kernel)
-        self.kernel_requested = kernel
-        self.kernel = (
-            "cupy" if resolve_kernel(kernel) == "cupy" else "numpy"
-        )
-        self._xp = self._xp_device = None
-        if self.kernel == "cupy":
-            self._xp, self._xp_device = array_namespace()
         self.cost = self._validate_cost(cost)
         n, B = self.n, self.replicas
         if loads is None:
@@ -318,9 +301,6 @@ class BatchDiffusion(BatchDualProcess):
                 f"selection stream has {selections.replicas} replicas, "
                 f"batch has {self.replicas}"
             )
-        if self.kernel == "cupy":
-            self._apply_selections_device(selections)
-            return
         beta = 1.0 - self.alpha
         k = selections.k
         flat = self._flat
@@ -348,49 +328,6 @@ class BatchDiffusion(BatchDualProcess):
             flat[idx_u] = rowvals - moving
             for j in range(k):
                 flat[base_t + picked[:, j]] += share
-
-    def _apply_selections_device(self, selections: RecordedSelections) -> None:
-        """The ``kernel="cupy"`` block path: loads stay on-device.
-
-        The flat ``(B * n, r)`` matrix is uploaded once, every round of
-        the block runs as device fancy-indexing (row writes are
-        distinct across replicas, exactly as on the host), and the
-        result is downloaded once at the end — selections themselves
-        are still drawn by the host RNG, so the selection stream is
-        unchanged; only the load arithmetic moves.
-        """
-        xp = self._xp
-        dev = xp.array(self._flat)
-        beta = 1.0 - self.alpha
-        k = selections.k
-        base = self._base
-        nodes_all = selections.nodes
-        picked_all = selections.picked
-        keep_all = selections.keep
-        for t in range(len(selections)):
-            self.t += 1
-            if keep_all is None:
-                base_t = base
-                nodes = nodes_all[t]
-                picked = picked_all[t]
-            else:
-                rows = np.flatnonzero(keep_all[t])
-                if rows.size == 0:
-                    continue
-                base_t = base[rows]
-                nodes = nodes_all[t, rows]
-                picked = picked_all[t, rows]
-            idx_u = xp.asarray(base_t + nodes)
-            rowvals = dev[idx_u]
-            moving = beta * rowvals
-            share = moving / k
-            dev[idx_u] = rowvals - moving
-            for j in range(k):
-                dev[xp.asarray(base_t + picked[:, j])] += share
-        if self._xp_device == "cupy":
-            self._flat[:] = xp.asnumpy(dev)
-        else:
-            self._flat[:] = dev
 
     def run(self, steps: int) -> None:
         """Free-run ``steps`` rounds of fresh per-replica selections."""
@@ -723,14 +660,12 @@ class DualSpec:
     k: int = 1
     cost: Optional[np.ndarray] = None
     backend: str = "auto"
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.kind not in DUAL_KINDS:
             raise ParameterError(
                 f"kind must be one of {', '.join(DUAL_KINDS)}, got {self.kind!r}"
             )
-        validate_kernel(self.kernel)
         if self.kind in ("diffusion", "walks"):
             if self.cost is None:
                 raise ParameterError(f"kind {self.kind!r} requires a cost vector")
@@ -755,21 +690,17 @@ class DualSpec:
                 and (self.cost is None or np.array_equal(self.cost, other.cost))
             )
             and self.backend == other.backend
-            and self.kernel == other.kernel
         )
 
     def __hash__(self) -> int:
-        return hash((self.cache_token(), self.backend, self.kernel))
+        return hash((self.cache_token(), self.backend))
 
     def cache_token(self) -> str:
         """Deterministic text token identifying this configuration.
 
         Backends are bit-identical at a fixed seed and do not
         participate (as for the primal
-        :meth:`~repro.engine.driver.EngineSpec.cache_token`).  Host
-        kernels share one stream; the statistical-parity ``"cupy"``
-        backend appends ``|stream=cupy`` so device samples never alias
-        host ones (and pre-existing host tokens stay unchanged).
+        :meth:`~repro.engine.driver.EngineSpec.cache_token`).
         """
         if self.cost is None:
             digest = "none"
@@ -777,13 +708,10 @@ class DualSpec:
             digest = hashlib.sha256(
                 np.ascontiguousarray(self.cost).tobytes()
             ).hexdigest()[:16]
-        token = (
+        return (
             f"dual-{self.kind}|g={self.adjacency.content_hash()[:16]}"
             f"|c={digest}|alpha={self.alpha!r}|k={self.k}"
         )
-        if resolve_kernel(self.kernel) == "cupy":
-            token += "|stream=cupy"
-        return token
 
     def build(self, replicas: int, seed: SeedLike = None) -> BatchDualProcess:
         """Instantiate the batch dual process for ``replicas`` replicas."""
@@ -796,7 +724,6 @@ class DualSpec:
                 replicas=replicas,
                 seed=seed,
                 backend=self.backend,
-                kernel=self.kernel,
             )
         if self.kind == "walks":
             return BatchWalks(

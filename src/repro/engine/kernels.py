@@ -24,31 +24,9 @@ advances a batch by *blocks of R rounds per Python call*:
     index blocks are consumed by one compiled loop over the whole block.
     Falls back to ``"fused"`` without numba (and per-call for shapes the
     compiled loop does not cover, currently ``k > 1``).
-``"jit-par"``
-    The threaded tier of the jit kernel: the same compiled loops with
-    the per-round replica loop compiled under ``prange``.  Replicas are
-    independent and each (round, replica) entry touches only its own
-    row, so the parallel loop is race-free and performs the identical
-    IEEE operations per entry — trajectories stay **bit-identical** to
-    ``fused``/``jit`` at every thread count.  The thread budget is the
-    ``threads=`` knob (see :func:`configure_threads`), capped so
-    multiprocessing shard workers never oversubscribe the machine.
-``"cupy"``
-    Array-API state backend: the ``(B, n)`` primal state (and the dual
-    ``(B, n, r)`` load cube) live on-device across whole blocks, with
-    the block plans still pre-drawn host-side by the same NumPy RNG.
-    Uses CuPy when importable and a NumPy array-API shim otherwise (the
-    shim emulates the device buffer with an explicit host copy, so the
-    residency/sync logic is exercised everywhere).  This backend is
-    validated under the *statistical-parity* contract — device
-    reduction order is not pinned — and therefore keys its own cache
-    stream class and is never chosen by ``kernel="auto"``.
 
-``kernel="auto"`` consults a measured calibration table
-(:mod:`repro.engine.calibration`, refreshable via ``repro bench
-calibrate``) keyed on ``(model kind, k, n, B)`` and restricted to the
-stream-exact block kernels above, falling back to the historical
-heuristic (jit if numba imports, else fused) when no table exists.
+``kernel="auto"`` resolves to ``"jit"`` when numba imports and to
+``"fused"`` otherwise.
 
 Block contract
 --------------
@@ -92,7 +70,6 @@ across the two.
 
 from __future__ import annotations
 
-import os
 import warnings
 
 import numpy as np
@@ -102,22 +79,12 @@ from repro.obs.metrics import METRICS
 
 #: Valid ``kernel=`` names accepted across the engine, API and CLI.
 #:
-#: ``"auto"`` — measured pick among the stream-exact block kernels
-#: (calibration table, else the jit-if-numba heuristic);
+#: ``"auto"`` — ``"jit"`` when numba imports, else ``"fused"``;
 #: ``"numpy"`` — legacy per-round reference path (its own RNG stream);
 #: ``"fused"`` — pure-NumPy block kernel, always available;
-#: ``"jit"`` / ``"jit-par"`` — serial / ``prange``-threaded numba
-#: block loops, bit-identical to ``"fused"`` (visible fused fallback
-#: without numba);
-#: ``"cupy"`` — array-API device-state backend (CuPy, else a NumPy
-#: shim), statistical-parity contract, own cache stream class.
-KERNEL_CHOICES = ("auto", "numpy", "fused", "jit", "jit-par", "cupy")
-
-#: Kernels whose trajectories are bit-identical to ``"fused"`` at a
-#: fixed seed (one shared "block" RNG stream class).  ``kernel="auto"``
-#: only ever picks from this set, so the auto pick can never change a
-#: cache key's stream identity or the realized trajectory.
-STREAM_EXACT_KERNELS = ("fused", "jit", "jit-par")
+#: ``"jit"`` — numba block loop, bit-identical to ``"fused"`` (visible
+#: fused fallback without numba).
+KERNEL_CHOICES = ("auto", "numpy", "fused", "jit")
 
 #: Default rounds per block: large enough to amortise the block plan to
 #: ~0.02 us/round, small enough that run_until_phi over-steps at most
@@ -125,8 +92,6 @@ STREAM_EXACT_KERNELS = ("fused", "jit", "jit-par")
 DEFAULT_BLOCK_ROUNDS = 256
 
 _NUMBA_STATE: dict = {}
-
-_CUPY_STATE: dict = {}
 
 
 def numba_available() -> bool:
@@ -139,115 +104,6 @@ def numba_available() -> bool:
         except ImportError:
             _NUMBA_STATE["ok"] = False
     return _NUMBA_STATE["ok"]
-
-
-def cupy_available() -> bool:
-    """Whether real CuPy can be imported (cached).
-
-    The ``"cupy"`` kernel itself never *requires* CuPy — it degrades to
-    a NumPy array-API shim so the device-residency logic stays testable
-    on CPU-only runners — but BENCH and provenance records label which
-    device actually backed a run.
-    """
-    if "ok" not in _CUPY_STATE:
-        try:
-            import cupy  # noqa: F401
-
-            _CUPY_STATE["ok"] = True
-        except ImportError:
-            _CUPY_STATE["ok"] = False
-    return _CUPY_STATE["ok"]
-
-
-def array_namespace():
-    """``(xp, device_label)`` backing the ``"cupy"`` kernel.
-
-    Returns the CuPy module and ``"cupy"`` when importable, else NumPy
-    and ``"numpy-shim"``.
-    """
-    if cupy_available():
-        import cupy
-
-        return cupy, "cupy"
-    return np, "numpy-shim"
-
-
-def available_kernels() -> tuple:
-    """The effective kernel names runnable in this process.
-
-    ``"auto"`` is excluded (it is a request, not an executor); ``jit``
-    and ``jit-par`` appear only when numba imports.  ``"cupy"`` is
-    always runnable (shim-backed without CuPy).
-    """
-    names = ["numpy", "fused"]
-    if numba_available():
-        names += ["jit", "jit-par"]
-    names.append("cupy")
-    return tuple(names)
-
-
-# ----------------------------------------------------------------------
-# Thread budget (the jit-par knob)
-# ----------------------------------------------------------------------
-#: Per-process kernel-thread cap, set by the multiprocessing sharder's
-#: worker initializer so ``workers x threads <= cpu_count`` (satellite:
-#: no oversubscription).  ``None`` means uncapped.
-_THREAD_STATE: dict = {"cap": None}
-
-
-def set_thread_cap(cap: int | None) -> None:
-    """Cap this process's kernel threads (``None`` lifts the cap).
-
-    Called by :func:`repro.engine.driver._init_worker_threads` inside
-    each multiprocessing shard worker.  Also exports ``OMP_NUM_THREADS``
-    so BLAS/OpenMP pools in the worker respect the same budget.
-    """
-    if cap is not None:
-        cap = max(1, int(cap))
-        os.environ["OMP_NUM_THREADS"] = str(cap)
-    _THREAD_STATE["cap"] = cap
-    if numba_available():
-        import numba
-
-        try:
-            numba.set_num_threads(effective_thread_count(None))
-        except ValueError:  # pragma: no cover - numba threading layer quirk
-            pass
-
-
-def effective_thread_count(requested: int | None) -> int:
-    """The thread count the jit-par kernel would actually run with.
-
-    ``requested=None`` means "all available".  The result is clamped to
-    the process thread cap (see :func:`set_thread_cap`) and to numba's
-    own maximum; without numba every kernel is single-threaded.
-    """
-    if not numba_available():
-        return 1
-    import numba
-
-    limit = numba.config.NUMBA_NUM_THREADS
-    threads = limit if requested is None else max(1, int(requested))
-    cap = _THREAD_STATE["cap"]
-    if cap is not None:
-        threads = min(threads, cap)
-    return min(threads, limit)
-
-
-def configure_threads(requested: int | None) -> int:
-    """Apply the thread budget for this process and return it.
-
-    Sets numba's runtime thread count (a cheap, idempotent call) to the
-    clamped budget and records it on the ``engine.kernel_threads``
-    gauge so provenance/telemetry can report the *effective* count.
-    """
-    threads = effective_thread_count(requested)
-    if numba_available():
-        import numba
-
-        numba.set_num_threads(threads)
-    METRICS.gauge("engine.kernel_threads", threads)
-    return threads
 
 
 def validate_kernel(name: str) -> str:
@@ -281,59 +137,21 @@ def _warn_fallback(name: str) -> None:
 def resolve_kernel(name: str) -> str:
     """Resolve a requested kernel name to the effective one.
 
-    ``"auto"`` resolves with the jit-if-numba heuristic here — the
-    *workload-aware* measured pick lives in :func:`autopick_kernel` and
-    is applied where the batch shape is known (batch construction);
-    both only ever pick stream-exact block kernels, so this context-free
-    resolution is all a cache key needs.  An explicit ``"jit"`` or
-    ``"jit-par"`` request degrades to ``"fused"`` without numba — numba
-    is an optional accelerator, never a requirement — but *visibly*: a
-    one-time ``RuntimeWarning`` plus the ``engine.kernel_fallback``
-    counter, so BENCH and provenance records stop silently reporting a
-    backend that never ran.  ``"cupy"`` always resolves to itself (the
-    NumPy array-API shim backs it when CuPy is absent).
+    ``"auto"`` resolves to ``"jit"`` when numba imports and to
+    ``"fused"`` otherwise.  An explicit ``"jit"`` request degrades to
+    ``"fused"`` without numba — numba is an optional accelerator, never
+    a requirement — but *visibly*: a one-time ``RuntimeWarning`` plus
+    the ``engine.kernel_fallback`` counter, so provenance records never
+    silently report a backend that did not run.
     """
     validate_kernel(name)
-    if name in ("numpy", "fused", "cupy"):
+    if name in ("numpy", "fused"):
         return name
-    if name == "auto":
-        return "jit" if numba_available() else "fused"
-    # jit / jit-par
     if numba_available():
-        return name
-    _warn_fallback(name)
+        return "jit"
+    if name == "jit":
+        _warn_fallback(name)
     return "fused"
-
-
-def autopick_kernel(
-    kind: str, k: int, n: int, replicas: int
-) -> tuple[str, str]:
-    """Workload-aware ``kernel="auto"`` resolution: ``(kernel, reason)``.
-
-    Consults the persisted calibration table
-    (:mod:`repro.engine.calibration`) keyed on ``(model kind, k, n, B)``
-    when one exists — reason ``"calibrated"`` — and falls back to the
-    historical heuristic (jit when numba imports, else fused) — reason
-    ``"heuristic"``.  Only kernels in :data:`STREAM_EXACT_KERNELS`
-    *and* runnable in this process are eligible, so the pick never
-    changes the realized trajectory, the RNG stream class, or a cache
-    key, and never selects an unavailable backend.
-    """
-    exact = set(STREAM_EXACT_KERNELS)
-    candidates = tuple(
-        name for name in available_kernels() if name in exact
-    )
-    try:
-        from repro.engine.calibration import load_calibration
-
-        table = load_calibration()
-    except Exception:  # pragma: no cover - defensive: bad table on disk
-        table = None
-    if table is not None:
-        pick = table.pick(kind, k, n, replicas, candidates)
-        if pick is not None:
-            return pick, "calibrated"
-    return ("jit" if numba_available() else "fused"), "heuristic"
 
 
 class BlockPlan:
@@ -557,90 +375,6 @@ def _jit_functions():
     return _NUMBA_STATE["fns"]
 
 
-def _jit_par_functions():
-    """Compile (once) and return the ``prange`` block loops, or ``None``.
-
-    Identical bodies to :func:`_jit_functions` with the inner replica
-    loop compiled under ``numba.prange``: replica columns are
-    independent within a round (each ``(r, j)`` writes only its own
-    row's flat entry and gathers only from its own row), so the
-    parallel loop is race-free and each entry's IEEE arithmetic is
-    unchanged — trajectories are bit-identical to the serial loops at
-    every thread count.  The sequential outer loop preserves the
-    round-to-round data dependence.
-    """
-    if "par_fns" in _NUMBA_STATE:
-        return _NUMBA_STATE["par_fns"]
-    if not numba_available():
-        _NUMBA_STATE["par_fns"] = None
-        return None
-    import numba
-
-    @numba.njit(parallel=True, cache=False)
-    def block_cat_par(flat, cat_idx, alpha, old_blk, new_blk):
-        R, A = old_blk.shape
-        beta = 1.0 - alpha
-        for r in range(R):
-            for j in numba.prange(A):
-                wi = cat_idx[r, A + j]
-                old = flat[wi]
-                mean = flat[cat_idx[r, j]]
-                new = alpha * old + beta * mean
-                flat[wi] = new
-                old_blk[r, j] = old
-                new_blk[r, j] = new
-
-    @numba.njit(parallel=True, cache=False)
-    def block_cat_norecord_par(flat, cat_idx, alpha):
-        R = cat_idx.shape[0]
-        A = cat_idx.shape[1] // 2
-        beta = 1.0 - alpha
-        for r in range(R):
-            for j in numba.prange(A):
-                wi = cat_idx[r, A + j]
-                flat[wi] = alpha * flat[wi] + beta * flat[cat_idx[r, j]]
-
-    @numba.njit(parallel=True, cache=False)
-    def block_lazy_par(
-        flat, write_idx, gather_idx, keep, alpha, old_blk, new_blk
-    ):
-        R, A = write_idx.shape
-        beta = 1.0 - alpha
-        for r in range(R):
-            for j in numba.prange(A):
-                if not keep[r, j]:
-                    old_blk[r, j] = 0.0
-                    new_blk[r, j] = 0.0
-                    continue
-                wi = write_idx[r, j]
-                old = flat[wi]
-                mean = flat[gather_idx[r, j]]
-                new = alpha * old + beta * mean
-                flat[wi] = new
-                old_blk[r, j] = old
-                new_blk[r, j] = new
-
-    @numba.njit(parallel=True, cache=False)
-    def block_lazy_norecord_par(flat, write_idx, gather_idx, keep, alpha):
-        R, A = write_idx.shape
-        beta = 1.0 - alpha
-        for r in range(R):
-            for j in numba.prange(A):
-                if keep[r, j]:
-                    wi = write_idx[r, j]
-                    flat[wi] = (
-                        alpha * flat[wi] + beta * flat[gather_idx[r, j]]
-                    )
-
-    _NUMBA_STATE["par_fns"] = {
-        "cat": block_cat_par,
-        "cat_norecord": block_cat_norecord_par,
-        "lazy": block_lazy_par,
-        "lazy_norecord": block_lazy_norecord_par,
-    }
-    return _NUMBA_STATE["par_fns"]
-
-
 def run_block_jit(
     flat: np.ndarray, plan: BlockPlan, alpha: float, record: bool
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -653,24 +387,7 @@ def run_block_jit(
     without a compiled loop (``k > 1``) and missing-numba environments
     fall back to the fused kernel per call.
     """
-    return _run_block_numba(_jit_functions(), flat, plan, alpha, record)
-
-
-def run_block_jit_par(
-    flat: np.ndarray, plan: BlockPlan, alpha: float, record: bool
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Execute one block with the threaded numba kernel (fused fallback).
-
-    The ``prange`` twin of :func:`run_block_jit`: same plan, same
-    variates, same per-entry IEEE operations — bit-identical to
-    ``fused``/``jit`` at every thread count.  The thread budget is
-    whatever :func:`configure_threads` last applied in this process.
-    """
-    return _run_block_numba(_jit_par_functions(), flat, plan, alpha, record)
-
-
-def _run_block_numba(fns, flat, plan, alpha, record):
-    """Shared dispatch of the serial and ``prange`` numba loop sets."""
+    fns = _jit_functions()
     if fns is None or plan.k != 1:
         return run_block_fused(flat, plan, alpha, record)
     if plan.cat_idx is not None:
@@ -697,128 +414,17 @@ def _run_block_numba(fns, flat, plan, alpha, record):
     return old_blk, new_blk
 
 
-# ----------------------------------------------------------------------
-# Array-API (CuPy / NumPy-shim) backend
-# ----------------------------------------------------------------------
-class ArrayApiBlockExecutor:
-    """Device-resident block executor behind ``kernel="cupy"``.
-
-    Holds a device copy of the batch's flat ``(B * n,)`` state across
-    whole blocks: free-running blocks upload once and stay resident
-    (the batch downloads via :meth:`sync_host` when a host observable
-    is read), while record-mode blocks (chunked convergence detection)
-    download after each block because the detector may rewind the host
-    state.  Block plans are still pre-drawn host-side by the ordinary
-    NumPy RNG and transferred per block, so the selection law and the
-    stream draw order are untouched.  Without CuPy the "device" is an
-    explicit NumPy copy — same residency logic, host arithmetic — which
-    keeps the backend testable on CPU-only runners.
-
-    Contract: *statistical parity*, not bit-exactness — device gather/
-    scatter reduction order is not pinned to the fused kernel's.
-    """
-
-    def __init__(self) -> None:
-        self.xp, self.device = array_namespace()
-        self._dev: object | None = None
-
-    # -- residency ------------------------------------------------------
-    def _ensure_device(self, flat: np.ndarray):
-        if self._dev is None:
-            self._dev = self.xp.array(flat)
-        return self._dev
-
-    def _to_host(self, dev) -> np.ndarray:
-        if self.device == "cupy":  # pragma: no cover - needs a GPU
-            return self.xp.asnumpy(dev)
-        return np.asarray(dev)
-
-    def sync_host(self, flat: np.ndarray) -> None:
-        """Download the device state into ``flat`` and drop residency.
-
-        Dropping (rather than keeping a "clean" mirror) is what makes
-        subsequent host writes — rewinds, ``apply_selection`` replays,
-        per-round stepping — safe without any dirty tracking: the next
-        block simply re-uploads.
-        """
-        if self._dev is None:
-            return
-        flat[:] = self._to_host(self._dev)
-        self._dev = None
-
-    # -- execution ------------------------------------------------------
-    def __call__(
-        self, flat: np.ndarray, plan: BlockPlan, alpha: float, record: bool
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        xp = self.xp
-        dev = self._ensure_device(flat)
-        R, A = plan.write_idx.shape
-        beta = 1.0 - alpha
-        old_blk = new_blk = None
-        if record:
-            old_blk = xp.zeros((R, A))
-            new_blk = xp.zeros((R, A))
-        if plan.cat_idx is not None:
-            cat = xp.asarray(plan.cat_idx)
-            coef = xp.asarray(plan.coef)
-            parts = plan.k + 1
-            for r in range(R):
-                t = dev[cat[r]] * coef
-                new = t.reshape(parts, A).sum(axis=0)
-                if record:
-                    old_blk[r] = dev[cat[r, plan.k * A:]]
-                dev[cat[r, plan.k * A:]] = new
-                if record:
-                    new_blk[r] = new
-        else:
-            write = xp.asarray(plan.write_idx)
-            gather = xp.asarray(plan.gather_idx)
-            keep = None if plan.keep is None else xp.asarray(plan.keep)
-            for r in range(R):
-                widx = write[r]
-                if plan.k == 1:
-                    means = dev[gather[r]]
-                else:
-                    means = dev[gather[r]].mean(axis=1)
-                old = dev[widx]
-                new = alpha * old + beta * means
-                if keep is not None:
-                    kr = keep[r]
-                    new = xp.where(kr, new, old)
-                    if record:
-                        old_blk[r] = xp.where(kr, old, 0.0)
-                        new_blk[r] = xp.where(kr, new, 0.0)
-                else:
-                    if record:
-                        old_blk[r] = old
-                        new_blk[r] = new
-                dev[widx] = new
-        if not record:
-            return None
-        out = self._to_host(old_blk).copy(), self._to_host(new_blk).copy()
-        # Detection mode may rewind over-stepped rounds on the host, so
-        # hand authority back immediately.
-        self.sync_host(flat)
-        return out
-
-
-#: Effective kernel name -> block executor (stateless executors only;
-#: ``"cupy"`` needs a per-batch :class:`ArrayApiBlockExecutor` — use
-#: :func:`make_block_executor`).
+#: Effective kernel name -> block executor.
 BLOCK_EXECUTORS = {
     "fused": run_block_fused,
     "jit": run_block_jit,
-    "jit-par": run_block_jit_par,
 }
 
 
 def make_block_executor(kernel: str):
     """Block executor for an *effective* kernel name (``None`` = per-round).
 
-    The single constructor the batch models use: stateless function for
-    the fused/jit family, a fresh device-mirror instance for
-    ``"cupy"``, ``None`` for the legacy ``"numpy"`` path.
+    The single constructor the batch models use: the fused or jit block
+    function, ``None`` for the legacy ``"numpy"`` path.
     """
-    if kernel == "cupy":
-        return ArrayApiBlockExecutor()
     return BLOCK_EXECUTORS.get(kernel)

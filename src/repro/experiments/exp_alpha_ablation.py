@@ -25,7 +25,6 @@ from repro.api import (
     engine_param,
     experiment,
     kernel_param,
-    threads_param,
 )
 from repro.core.initial import center_simple, rademacher_values
 from repro.core.node_model import NodeModel
@@ -54,7 +53,6 @@ EPSILON = 1e-8
         ),
         "engine": engine_param(),
         "kernel": kernel_param(),
-        "threads": threads_param(),
     },
     presets={
         "fast": {"n": 36, "time_replicas": 5, "var_replicas": 120, "tol": 1e-6},
@@ -71,7 +69,6 @@ def run(
     seed: int = 0,
     engine: str = "batch",
     kernel: str = "auto",
-    threads: int | None = None,
 ) -> list[ResultTable]:
     """Sweep alpha on a fixed regular expander: speed vs accuracy."""
     graph = random_regular_graph(n, d, seed=seed)
@@ -96,11 +93,11 @@ def run(
 
         times = sample_t_eps(
             make, EPSILON, time_replicas, seed=seed + 1, max_steps=200_000_000,
-            engine=engine, kernel=kernel, threads=threads,
+            engine=engine, kernel=kernel,
         )
         f_sample = sample_f_values(
             make, var_replicas, seed=seed + 2, discrepancy_tol=tol,
-            max_steps=500_000_000, engine=engine, kernel=kernel, threads=threads,
+            max_steps=500_000_000, engine=engine, kernel=kernel,
         )
         estimate = estimate_moments(f_sample, seed=seed)
         bounds = variance_bounds(graph, initial, alpha=alpha, k=1)

@@ -28,7 +28,6 @@ from repro.api import (
     experiment,
     graph_schedule_param,
     kernel_param,
-    threads_param,
 )
 from repro.core.initial import center_simple, rademacher_values
 from repro.engine.cache import ResultCache
@@ -53,7 +52,6 @@ DEGREE = 4
         "replicas": ParamSpec(int, "Monte-Carlo replicas per cell"),
         "graph_schedule": graph_schedule_param(),
         "kernel": kernel_param(),
-        "threads": threads_param(),
         "cache_dir": ParamSpec(
             str,
             "on-disk engine result cache; re-runs at the same seed "
@@ -74,7 +72,6 @@ def run(
     seed: int = 0,
     graph_schedule: str = "cyclic",
     kernel: str = "auto",
-    threads: int | None = None,
     cache_dir: str = "",
 ) -> list[ResultTable]:
     """Measure ``T_eps`` on a snapshot schedule vs the static baseline."""
@@ -105,11 +102,10 @@ def run(
     for kind in ("node", "edge"):
         static_spec = EngineSpec(
             kind, schedule.snapshots[0], initial, ALPHA, k=1,
-            kernel=kernel, threads=threads
+            kernel=kernel
         )
         dynamic_spec = EngineSpec.for_schedule(
-            kind, schedule, initial, ALPHA, k=1, kernel=kernel,
-            threads=threads
+            kind, schedule, initial, ALPHA, k=1, kernel=kernel
         )
         t_static = sample_t_eps_batch(
             static_spec, EPSILON, replicas, seed=seed + 11,

@@ -18,7 +18,6 @@ from repro.api import (
     engine_param,
     experiment,
     kernel_param,
-    threads_param,
 )
 from repro.core.edge_model import EdgeModel
 from repro.core.initial import center_simple, linear_ramp
@@ -46,7 +45,6 @@ EPSILON = 1e-8
         "replicas": ParamSpec(int, "replicas per (family, size) cell"),
         "engine": engine_param(),
         "kernel": kernel_param(),
-        "threads": threads_param(),
     },
     presets={
         "fast": {"sizes": [16, 32], "replicas": 5},
@@ -59,7 +57,6 @@ def run(
     seed: int = 0,
     engine: str = "batch",
     kernel: str = "auto",
-    threads: int | None = None,
 ) -> list[ResultTable]:
     """Measure EdgeModel T_eps across regular and irregular graphs."""
     table = ResultTable(
@@ -88,7 +85,7 @@ def run(
 
             times = sample_t_eps(
                 make, EPSILON, replicas, seed=seed + n, max_steps=500_000_000,
-                engine=engine, kernel=kernel, threads=threads,
+                engine=engine, kernel=kernel,
             )
             measured = float(times.mean())
             table.add_row(family, nn, m, lambda2_l, measured, bound, measured / bound)

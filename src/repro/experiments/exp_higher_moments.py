@@ -19,7 +19,6 @@ from repro.api import (
     engine_param,
     experiment,
     kernel_param,
-    threads_param,
 )
 from repro.core.initial import (
     center_simple,
@@ -43,7 +42,6 @@ ALPHA = 0.5
         "tol": ParamSpec(float, "consensus discrepancy tolerance"),
         "engine": engine_param(),
         "kernel": kernel_param(),
-        "threads": threads_param(),
     },
     presets={
         "fast": {"n": 30, "replicas": 250, "tol": 1e-6},
@@ -57,7 +55,6 @@ def run(
     seed: int = 0,
     engine: str = "batch",
     kernel: str = "auto",
-    threads: int | None = None,
 ) -> list[ResultTable]:
     """Skewness and excess kurtosis of F across settings."""
     table = ResultTable(
@@ -80,7 +77,7 @@ def run(
 
             sample = sample_f_values(
                 make, replicas, seed=seed, discrepancy_tol=tol,
-                max_steps=500_000_000, engine=engine, kernel=kernel, threads=threads,
+                max_steps=500_000_000, engine=engine, kernel=kernel,
             )
             estimate = estimate_moments(sample, seed=seed)
             table.add_row(

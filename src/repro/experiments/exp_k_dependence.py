@@ -18,7 +18,6 @@ from repro.api import (
     engine_param,
     experiment,
     kernel_param,
-    threads_param,
 )
 from repro.core.initial import center_simple, linear_ramp
 from repro.core.node_model import NodeModel
@@ -43,7 +42,6 @@ EPSILON = 1e-8
         "replicas": ParamSpec(int, "replicas per k"),
         "engine": engine_param(),
         "kernel": kernel_param(),
-        "threads": threads_param(),
     },
     presets={
         "fast": {"n": 48, "replicas": 5},
@@ -58,7 +56,6 @@ def run(
     seed: int = 0,
     engine: str = "batch",
     kernel: str = "auto",
-    threads: int | None = None,
 ) -> list[ResultTable]:
     """Sweep ``k`` on a d-regular expander; report T_eps(k)/T_eps(1)."""
     graph = random_regular_graph(n, d, seed=seed)
@@ -78,7 +75,7 @@ def run(
 
         times = sample_t_eps(
             make, EPSILON, replicas, seed=seed + k, max_steps=100_000_000,
-            engine=engine, kernel=kernel, threads=threads,
+            engine=engine, kernel=kernel,
         )
         measured = float(times.mean())
         predicted = predicted_t_eps_node(n, lambda2, ALPHA, k, phi0, EPSILON)

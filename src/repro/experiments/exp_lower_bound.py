@@ -17,7 +17,6 @@ from repro.api import (
     engine_param,
     experiment,
     kernel_param,
-    threads_param,
 )
 from repro.core.edge_model import EdgeModel
 from repro.core.initial import fiedler_aligned, second_eigenvector_aligned
@@ -43,7 +42,6 @@ EPSILON = 1e-6
         "replicas": ParamSpec(int, "replicas per (model, graph, size) cell"),
         "engine": engine_param(),
         "kernel": kernel_param(),
-        "threads": threads_param(),
     },
     presets={
         "fast": {"sizes": [16, 32], "replicas": 5},
@@ -56,7 +54,6 @@ def run(
     seed: int = 0,
     engine: str = "batch",
     kernel: str = "auto",
-    threads: int | None = None,
 ) -> list[ResultTable]:
     """Measure T_eps from the Prop. B.2 worst-case initial states."""
     table = ResultTable(
@@ -79,7 +76,7 @@ def run(
 
             times = sample_t_eps(
                 make_node, EPSILON, replicas, seed=seed + n,
-                max_steps=500_000_000, engine=engine, kernel=kernel, threads=threads,
+                max_steps=500_000_000, engine=engine, kernel=kernel,
             )
             table.add_row("node", name, n, float(times.mean()), bound,
                           float(times.mean()) / bound)
@@ -98,7 +95,7 @@ def run(
 
             times_e = sample_t_eps(
                 make_edge, EPSILON, replicas, seed=seed + n + 1,
-                max_steps=500_000_000, engine=engine, kernel=kernel, threads=threads,
+                max_steps=500_000_000, engine=engine, kernel=kernel,
             )
             table.add_row("edge", name, n, float(times_e.mean()), bound_e,
                           float(times_e.mean()) / bound_e)

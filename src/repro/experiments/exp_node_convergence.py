@@ -18,7 +18,6 @@ from repro.api import (
     engine_param,
     experiment,
     kernel_param,
-    threads_param,
 )
 from repro.analysis.fits import ratio_statistics
 from repro.core.initial import center_degree_weighted, linear_ramp
@@ -56,7 +55,6 @@ def _families(sizes: list, seed: int):
         "replicas": ParamSpec(int, "replicas per (family, size) cell"),
         "engine": engine_param(),
         "kernel": kernel_param(),
-        "threads": threads_param(),
     },
     presets={
         "fast": {"sizes": [16, 32, 64], "replicas": 5},
@@ -69,7 +67,6 @@ def run(
     seed: int = 0,
     engine: str = "batch",
     kernel: str = "auto",
-    threads: int | None = None,
 ) -> list[ResultTable]:
     """Measure ``T_eps`` across graph families and compare to the bound."""
     table = ResultTable(
@@ -97,7 +94,7 @@ def run(
 
             times = sample_t_eps(
                 make, EPSILON, replicas, seed=seed + n, max_steps=200_000_000,
-                engine=engine, kernel=kernel, threads=threads,
+                engine=engine, kernel=kernel,
             )
             measured = float(times.mean())
             table.add_row(

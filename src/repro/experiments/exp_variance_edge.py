@@ -16,7 +16,6 @@ from repro.api import (
     engine_param,
     experiment,
     kernel_param,
-    threads_param,
 )
 from repro.core.edge_model import EdgeModel
 from repro.core.initial import center_simple, rademacher_values
@@ -38,7 +37,6 @@ ALPHA = 0.5
         "tol": ParamSpec(float, "consensus discrepancy tolerance"),
         "engine": engine_param(),
         "kernel": kernel_param(),
-        "threads": threads_param(),
     },
     presets={
         "fast": {"n": 36, "replicas": 160, "tol": 1e-6},
@@ -52,7 +50,6 @@ def run(
     seed: int = 0,
     engine: str = "batch",
     kernel: str = "auto",
-    threads: int | None = None,
 ) -> list[ResultTable]:
     """EdgeModel vs NodeModel(k=1) variance on regular graphs.
 
@@ -91,7 +88,7 @@ def run(
         for model, make in [("edge", make_edge), ("node k=1", make_node)]:
             sample = sample_f_values(
                 make, replicas, seed=seed + d, discrepancy_tol=tol,
-                max_steps=500_000_000, engine=engine, kernel=kernel, threads=threads,
+                max_steps=500_000_000, engine=engine, kernel=kernel,
             )
             estimate = estimate_moments(sample, seed=seed)
             lo, hi = estimate.variance_ci

@@ -19,7 +19,6 @@ from repro.api import (
     engine_param,
     experiment,
     kernel_param,
-    threads_param,
 )
 from repro.core.edge_model import EdgeModel
 from repro.core.initial import (
@@ -45,7 +44,6 @@ ALPHA = 0.5
         "tol": ParamSpec(float, "consensus discrepancy tolerance"),
         "engine": engine_param(),
         "kernel": kernel_param(),
-        "threads": threads_param(),
     },
     presets={
         "fast": {"n": 30, "replicas": 150, "tol": 1e-6},
@@ -59,7 +57,6 @@ def run(
     seed: int = 0,
     engine: str = "batch",
     kernel: str = "auto",
-    threads: int | None = None,
 ) -> list[ResultTable]:
     """Empirical Var(F) on irregular graphs vs mean-degree envelope."""
     base = rademacher_values(n, seed=seed)
@@ -106,7 +103,7 @@ def run(
 
             sample = sample_f_values(
                 make, replicas, seed=seed, discrepancy_tol=tol,
-                max_steps=500_000_000, engine=engine, kernel=kernel, threads=threads,
+                max_steps=500_000_000, engine=engine, kernel=kernel,
             )
             estimate = estimate_moments(sample, seed=seed)
             table.add_row(

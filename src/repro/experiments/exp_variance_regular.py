@@ -22,7 +22,6 @@ from repro.api import (
     engine_param,
     experiment,
     kernel_param,
-    threads_param,
 )
 from repro.core.initial import center_simple, rademacher_values
 from repro.core.node_model import NodeModel
@@ -41,13 +40,13 @@ ALPHA = 0.5
 
 
 def _mc_variance(graph, initial, k, replicas, seed, tol, engine="batch",
-                 kernel="auto", threads=None):
+                 kernel="auto"):
     def make(rng):
         return NodeModel(graph, initial, alpha=ALPHA, k=k, seed=rng)
 
     values = sample_f_values(
         make, replicas, seed=seed, discrepancy_tol=tol, max_steps=500_000_000,
-        engine=engine, kernel=kernel, threads=threads,
+        engine=engine, kernel=kernel,
     )
     # 99% CIs: the envelope-consistency check below should fail on a real
     # discrepancy, not on a 1-in-20 bootstrap miss.
@@ -63,7 +62,6 @@ def _mc_variance(graph, initial, k, replicas, seed, tol, engine="batch",
         "tol": ParamSpec(float, "consensus discrepancy tolerance"),
         "engine": engine_param(),
         "kernel": kernel_param(),
-        "threads": threads_param(),
     },
     presets={
         "fast": {"n": 36, "replicas": 160, "tol": 1e-6},
@@ -77,7 +75,6 @@ def run(
     seed: int = 0,
     engine: str = "batch",
     kernel: str = "auto",
-    threads: int | None = None,
 ) -> list[ResultTable]:
     """Monte-Carlo Var(F) vs the Proposition 5.8 envelope.
 
@@ -112,8 +109,7 @@ def run(
     )
     for name, graph, d in graphs:
         estimate = _mc_variance(
-            graph, base_values, 1, replicas, seed + d, tol, engine, kernel,
-            threads
+            graph, base_values, 1, replicas, seed + d, tol, engine, kernel
         )
         bounds = variance_bounds(graph, base_values, alpha=ALPHA, k=1)
         env_low, env_high = variance_envelope(n, d, 1, ALPHA, norm_sq)
@@ -160,7 +156,7 @@ def run(
     for k in (1, 2, 4, 8):
         estimate = _mc_variance(
             graph_k, values_k, k, k_replicas, seed + 100 + k, tol, engine,
-            kernel, threads
+            kernel
         )
         bounds = variance_bounds(graph_k, values_k, alpha=ALPHA, k=k)
         lo, hi = estimate.variance_ci
@@ -187,8 +183,7 @@ def run(
     ]:
         values = center_simple(values)
         estimate = _mc_variance(
-            graph_p, values, 1, k_replicas, seed + 200, tol, engine, kernel,
-            threads
+            graph_p, values, 1, k_replicas, seed + 200, tol, engine, kernel
         )
         lo, hi = estimate.variance_ci
         placement.add_row(label, estimate.variance, lo, hi)

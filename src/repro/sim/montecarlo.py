@@ -98,16 +98,14 @@ def _resolve_engine(
     engine: str,
     cache_dir: Optional[str],
     kernel: str = "auto",
-    threads: Optional[int] = None,
 ):
     """Validate ``engine``/``kernel`` and resolve the batch route, if any.
 
     Returns ``(spec, cache)`` when the batch engine applies, or
     ``(None, None)`` when the loop engine was requested or the factory
     is not batchable.  ``kernel`` selects the stepping kernel of the
-    batch engine (:mod:`repro.engine.kernels`) and ``threads`` the
-    thread budget of the threaded kernels; the loop engine ignores
-    both.
+    batch engine (:mod:`repro.engine.kernels`); the loop engine
+    ignores it.
     """
     validate_engine(engine)
     validate_kernel(kernel)
@@ -116,10 +114,10 @@ def _resolve_engine(
     spec = _derive_spec(make_process, seed)
     if spec is None:
         return None, None
-    if kernel != spec.kernel or threads != spec.threads:
+    if kernel != spec.kernel:
         from dataclasses import replace
 
-        spec = replace(spec, kernel=kernel, threads=threads)
+        spec = replace(spec, kernel=kernel)
     from repro.engine.cache import ResultCache
 
     return spec, ResultCache(cache_dir) if cache_dir else None
@@ -135,23 +133,20 @@ def sample_f_values(
     processes: int = 1,
     cache_dir: Optional[str] = None,
     kernel: str = "auto",
-    threads: Optional[int] = None,
 ) -> np.ndarray:
     """I.i.d. samples of the convergence value ``F``.
 
     ``engine="batch"`` (default) vectorises the whole replica set;
     ``engine="loop"`` runs one process per replica.  ``kernel``,
-    ``threads``, ``processes`` and ``cache_dir`` apply to the batch
-    engine only: the first selects the stepping kernel (fused
-    multi-round blocks, the optional serial/threaded numba JITs, the
-    array-API device backend, or the legacy per-round path — see
-    :mod:`repro.engine.kernels`), the second bounds the threaded
-    kernels' thread count, the third fans replica shards across worker
-    processes, the fourth memoises finished sample arrays on disk (see
-    :class:`repro.engine.cache.ResultCache`).
+    ``processes`` and ``cache_dir`` apply to the batch engine only: the
+    first selects the stepping kernel (fused multi-round blocks, the
+    optional numba JIT, or the legacy per-round path — see
+    :mod:`repro.engine.kernels`), the second fans replica shards across
+    worker processes, the third memoises finished sample arrays on disk
+    (see :class:`repro.engine.cache.ResultCache`).
     """
     spec, cache = _resolve_engine(
-        make_process, seed, engine, cache_dir, kernel, threads
+        make_process, seed, engine, cache_dir, kernel
     )
     if spec is not None:
         from repro.engine.driver import sample_f_batch
@@ -184,15 +179,14 @@ def sample_t_eps(
     processes: int = 1,
     cache_dir: Optional[str] = None,
     kernel: str = "auto",
-    threads: Optional[int] = None,
 ) -> np.ndarray:
     """I.i.d. samples of the convergence time ``T_eps``.
 
-    Engine, kernel and threads selection work exactly as in
+    Engine and kernel selection work exactly as in
     :func:`sample_f_values`.
     """
     spec, cache = _resolve_engine(
-        make_process, seed, engine, cache_dir, kernel, threads
+        make_process, seed, engine, cache_dir, kernel
     )
     if spec is not None:
         from repro.engine.driver import sample_t_eps_batch

@@ -131,7 +131,6 @@ class TestRegistry:
             "tol": 1e-6,
             "engine": "batch",
             "kernel": "auto",
-            "threads": None,
         }
         assert full["n"] == 100 and full["replicas"] == 600
 

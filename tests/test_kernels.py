@@ -15,6 +15,8 @@ Three layers of guarantees, mirroring DESIGN.md section 6:
    finds (``block_rounds = 1`` is the per-round reference).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -66,28 +68,19 @@ def values30():
 
 class TestKernelResolution:
     def test_choices_and_invalid(self):
-        assert set(KERNEL_CHOICES) == {
-            "auto", "numpy", "fused", "jit", "jit-par", "cupy"
-        }
+        assert KERNEL_CHOICES == ("auto", "numpy", "fused", "jit")
         with pytest.raises(ParameterError):
             resolve_kernel("warp")
 
     def test_jit_par_and_cupy_resolution(self):
-        assert resolve_kernel("jit-par") == (
-            "jit-par" if numba_available() else "fused"
-        )
-        # cupy always resolves to itself: the NumPy shim backs it when
-        # CuPy is absent, so there is no fallback to warn about.
-        assert resolve_kernel("cupy") == "cupy"
+        """Both tiers were removed: the names are unknown kernels."""
+        from repro.engine import validate_kernel
 
-    def test_available_kernels(self):
-        from repro.engine import available_kernels
-
-        names = available_kernels()
-        assert "auto" not in names
-        assert "numpy" in names and "fused" in names and "cupy" in names
-        assert ("jit" in names) == numba_available()
-        assert ("jit-par" in names) == numba_available()
+        for name in ("jit-par", "cupy"):
+            with pytest.raises(ParameterError, match="unknown kernel"):
+                validate_kernel(name)
+            with pytest.raises(ParameterError, match="unknown kernel"):
+                resolve_kernel(name)
 
     def test_numpy_is_identity(self):
         assert resolve_kernel("numpy") == "numpy"
@@ -277,209 +270,6 @@ class TestJitBitEquivalence:
         np.testing.assert_array_equal(
             fused.run_until_phi(1e-4, 500_000),
             jit.run_until_phi(1e-4, 500_000),
-        )
-
-
-class TestJitParBitEquality:
-    """jit-par shards the replica axis only: bit-identical to fused at
-    every thread count (each replica's round loop is sequential and
-    touches disjoint state)."""
-
-    def _threads_grid(self):
-        import os
-
-        return sorted({1, 2, os.cpu_count() or 1})
-
-    @needs_numba
-    def test_node_k1_across_thread_counts(self, regular64, values64):
-        fused = BatchNodeModel(
-            regular64, values64, alpha=0.5, k=1, replicas=8, seed=11,
-            kernel="fused",
-        )
-        fused.run(500)
-        for threads in self._threads_grid():
-            par = BatchNodeModel(
-                regular64, values64, alpha=0.5, k=1, replicas=8, seed=11,
-                kernel="jit-par", threads=threads,
-            )
-            assert par.kernel == "jit-par"
-            par.run(500)
-            np.testing.assert_array_equal(par.values, fused.values)
-
-    @needs_numba
-    def test_edge_lazy_across_thread_counts(self, regular64, values64):
-        fused = BatchEdgeModel(
-            regular64, values64, alpha=0.5, replicas=8, seed=11,
-            kernel="fused", lazy=True,
-        )
-        fused.run(500)
-        for threads in self._threads_grid():
-            par = BatchEdgeModel(
-                regular64, values64, alpha=0.5, replicas=8, seed=11,
-                kernel="jit-par", threads=threads, lazy=True,
-            )
-            par.run(500)
-            np.testing.assert_array_equal(par.values, fused.values)
-
-    @needs_numba
-    def test_backdating_invariance(self, regular64, values64):
-        """run_until_phi hitting times are exact under jit-par too."""
-
-        def make(kernel, **kw):
-            return BatchNodeModel(
-                regular64, values64, alpha=0.5, k=1, replicas=16, seed=13,
-                kernel=kernel, **kw,
-            )
-
-        reference = make("fused")
-        reference.block_rounds = 1
-        hits = reference.run_until_phi(1e-4, 500_000)
-        for threads in self._threads_grid():
-            par = make("jit-par", threads=threads)
-            np.testing.assert_array_equal(
-                par.run_until_phi(1e-4, 500_000), hits
-            )
-            np.testing.assert_array_equal(par.values, reference.values)
-
-    def test_fallback_without_numba_matches_fused(
-        self, regular64, values64, monkeypatch
-    ):
-        """threads is inert once jit-par degrades to fused (this is the
-        path this CPU-only suite actually exercises)."""
-        from repro.engine import kernels as kernels_mod
-
-        monkeypatch.setitem(kernels_mod._NUMBA_STATE, "ok", False)
-        monkeypatch.setattr(kernels_mod, "_FALLBACK_WARNED", True)
-        fused = BatchNodeModel(
-            regular64, values64, alpha=0.5, k=1, replicas=6, seed=17,
-            kernel="fused",
-        )
-        par = BatchNodeModel(
-            regular64, values64, alpha=0.5, k=1, replicas=6, seed=17,
-            kernel="jit-par", threads=4,
-        )
-        assert par.kernel == "fused" and par.kernel_requested == "jit-par"
-        fused.run(400)
-        par.run(400)
-        np.testing.assert_array_equal(par.values, fused.values)
-
-
-class TestArrayApiBackend:
-    """kernel='cupy': device-resident blocks behind the array namespace.
-
-    Without CuPy the namespace is the NumPy shim, which strengthens the
-    statistical-parity contract to bit-equality — the residency logic
-    (upload, device blocks, download-on-read) still runs end to end.
-    """
-
-    def _pair(self, cls, *args, **kwargs):
-        fused = cls(*args, kernel="fused", **kwargs)
-        dev = cls(*args, kernel="cupy", **kwargs)
-        assert dev.kernel == "cupy"
-        return fused, dev
-
-    def test_node_k1_shim_bit_equal(self, regular64, values64):
-        from repro.engine import cupy_available
-
-        fused, dev = self._pair(
-            BatchNodeModel, regular64, values64, 0.5, 1, 8, 11
-        )
-        fused.run(500)
-        dev.run(500)
-        if cupy_available():
-            # Real device: statistical parity only — compare moments.
-            assert abs(dev.values.mean() - fused.values.mean()) < 0.1
-        else:
-            np.testing.assert_array_equal(dev.values, fused.values)
-            np.testing.assert_allclose(dev.phi, fused.phi, atol=1e-13)
-
-    def test_node_k2_and_edge_shim_bit_equal(
-        self, irregular30, values30, regular64, values64
-    ):
-        from repro.engine import cupy_available
-
-        if cupy_available():
-            pytest.skip("bit-equality contract only holds under the shim")
-        fused_n, dev_n = self._pair(
-            BatchNodeModel, irregular30, values30, 0.4, 2, 5, 7
-        )
-        fused_n.run(400)
-        dev_n.run(400)
-        np.testing.assert_array_equal(dev_n.values, fused_n.values)
-        fused_e, dev_e = self._pair(
-            BatchEdgeModel, regular64, values64, 0.5, 6, 9
-        )
-        fused_e.run(400)
-        dev_e.run(400)
-        np.testing.assert_array_equal(dev_e.values, fused_e.values)
-
-    def test_chunk_invariance(self, regular64, values64):
-        one = BatchNodeModel(
-            regular64, values64, alpha=0.5, k=1, replicas=6, seed=5,
-            kernel="cupy",
-        )
-        one.run(703)
-        chunked = BatchNodeModel(
-            regular64, values64, alpha=0.5, k=1, replicas=6, seed=5,
-            kernel="cupy",
-        )
-        for chunk in (1, 3, 130, 17, 256, 296):
-            chunked.run(chunk)
-        np.testing.assert_array_equal(one.values, chunked.values)
-
-    def test_hitting_times_match_fused_under_shim(self, regular64, values64):
-        from repro.engine import cupy_available
-
-        if cupy_available():
-            pytest.skip("bit-equality contract only holds under the shim")
-        fused, dev = self._pair(
-            BatchNodeModel, regular64, values64, 0.5, 1, 16, 13
-        )
-        np.testing.assert_array_equal(
-            fused.run_until_phi(1e-4, 500_000),
-            dev.run_until_phi(1e-4, 500_000),
-        )
-
-    def test_statistical_parity_vs_loop(self):
-        """The contract the cupy kernel must satisfy on *any* backend."""
-        small = random_regular_graph(36, 4, seed=0)
-        initial = center_simple(rademacher_values(36, seed=1))
-
-        def make(rng):
-            return NodeModel(small, initial, alpha=0.5, k=1, seed=rng)
-
-        loop = sample_f_values(
-            make, 200, seed=5, discrepancy_tol=1e-6, engine="loop"
-        )
-        dev = sample_f_values(
-            make, 200, seed=5, discrepancy_tol=1e-6, engine="batch",
-            kernel="cupy",
-        )
-        stderr = np.hypot(loop.std() / np.sqrt(200), dev.std() / np.sqrt(200))
-        assert abs(loop.mean() - dev.mean()) < 5 * stderr
-        ratio = dev.var(ddof=1) / loop.var(ddof=1)
-        assert 0.5 < ratio < 2.0
-
-    def test_dual_diffusion_device_path(self, regular64, values64):
-        """BatchDiffusion(kernel='cupy') keeps loads on-device across a
-        selection block and still conserves mass."""
-        from repro.engine import BatchDiffusion, cupy_available
-
-        adjacency = Adjacency.from_graph(regular64)
-        host = BatchDiffusion(
-            adjacency, cost=values64, alpha=0.5, k=1, replicas=4, seed=2,
-        )
-        dev = BatchDiffusion(
-            adjacency, cost=values64, alpha=0.5, k=1, replicas=4, seed=2,
-            kernel="cupy",
-        )
-        host.run(300)
-        dev.run(300)
-        if not cupy_available():
-            np.testing.assert_allclose(dev.loads, host.loads, atol=1e-12)
-        np.testing.assert_allclose(
-            dev.loads.sum(axis=(1, 2)), host.loads.sum(axis=(1, 2)),
-            atol=1e-9,
         )
 
 
@@ -682,75 +472,41 @@ class TestEngineSpecKernel:
         assert a != c
 
     def test_cache_token_splits_stream_classes(self, regular64, values64):
-        """fused/jit/jit-par/auto share one stream class; numpy and cupy
-        are each their own."""
+        """fused/jit/auto share the block stream class; numpy has its
+        own.  The literal tokens pin the on-disk cache keys: a change
+        here orphans every stored result."""
+        from repro.engine import CyclicSchedule, DualSpec
+
         adjacency = Adjacency.from_graph(regular64)
-        tokens = {
-            kernel: EngineSpec(
+        schedule = CyclicSchedule(
+            [regular64, random_regular_graph(64, 4, seed=1)], 16
+        )
+        base = (
+            "node|g=fb06120171a324e0|x0=77bf3427dbdef1b5|alpha=0.5|k=1|lazy=0"
+        )
+        block = base + "|stream=block|br=256"
+        legacy = base + "|stream=legacy"
+        sched = "|sched=c1fc40f49215508e"
+        for kernel, expected in (
+            ("auto", block), ("fused", block), ("jit", block),
+            ("numpy", legacy),
+        ):
+            static = EngineSpec(
                 "node", adjacency, values64, 0.5, 1, kernel=kernel
-            ).cache_token()
-            for kernel in ("auto", "fused", "jit", "jit-par", "numpy", "cupy")
-        }
-        assert (
-            tokens["auto"] == tokens["fused"] == tokens["jit"]
-            == tokens["jit-par"]
-        )
-        assert tokens["numpy"] != tokens["fused"]
-        assert tokens["cupy"] != tokens["fused"]
-        assert tokens["cupy"] != tokens["numpy"]
-        assert "|stream=cupy" in tokens["cupy"]
-
-    def test_cache_token_threads(self, regular64, values64):
-        """threads=None leaves tokens byte-identical to the pre-threads
-        era; an explicit thread count splits only block-stream tokens."""
-        adjacency = Adjacency.from_graph(regular64)
-
-        def token(**kwargs):
-            return EngineSpec(
-                "node", adjacency, values64, 0.5, 1, **kwargs
-            ).cache_token()
-
-        assert token(kernel="fused") == token(kernel="fused", threads=None)
-        assert "|th=" not in token(kernel="fused")
-        two = token(kernel="fused", threads=2)
-        assert two.endswith("|th=2")
-        assert two != token(kernel="fused")
-        assert two != token(kernel="fused", threads=4)
-        # numpy's legacy stream is per-round and thread-free: threads
-        # never fragments its key space.
-        assert token(kernel="numpy", threads=2) == token(kernel="numpy")
-
-    def test_cache_token_calibration_independent(self, regular64, values64):
-        """Installing a calibration table must not move any cache key:
-        auto only ever picks stream-exact kernels, which share the
-        block token."""
-        from repro.engine.calibration import (
-            CalibrationCell,
-            CalibrationTable,
-            clear_calibration_cache,
-            set_calibration,
-        )
-
-        adjacency = Adjacency.from_graph(regular64)
-        spec = EngineSpec("node", adjacency, values64, 0.5, 1, kernel="auto")
-        before = spec.cache_token()
-        table = CalibrationTable(cells=[CalibrationCell(
-            kind="node", k=1, n=64, replicas=8,
-            rates={"numpy": 9e9, "fused": 1.0, "jit": None, "jit-par": None,
-                   "cupy": 9e9},
-        )])
-        set_calibration(table)
-        try:
-            assert spec.cache_token() == before
-            from repro.engine import autopick_kernel
-
-            pick, reason = autopick_kernel("node", 1, 64, 8)
-            # numpy/cupy rates dominate the table yet are never eligible.
-            assert pick in ("fused", "jit", "jit-par")
-            assert reason == "calibrated"
-        finally:
-            set_calibration(None)
-            clear_calibration_cache()
+            )
+            dynamic = EngineSpec.for_schedule(
+                "node", schedule, values64, 0.5, k=1, kernel=kernel
+            )
+            assert static.cache_token() == expected
+            assert dynamic.cache_token() == expected + sched
+        dual = "|g=fb06120171a324e0|c={}|alpha=0.5|k=1"
+        for kind, cost, digest in (
+            ("diffusion", values64, "77bf3427dbdef1b5"),
+            ("walks", values64, "77bf3427dbdef1b5"),
+            ("coalescing", None, "none"),
+        ):
+            spec = DualSpec(kind=kind, adjacency=adjacency, alpha=0.5, cost=cost)
+            assert spec.cache_token() == f"dual-{kind}" + dual.format(digest)
 
     def test_cache_round_trip_per_kernel(self, tmp_path, regular64, values64):
         spec = EngineSpec(
@@ -865,46 +621,112 @@ class TestRunSpecKernel:
             "EXP-T222", kernel="numpy"
         ).key()
 
+    def test_provenance_kernel_and_reason(self):
+        """Provenance names the kernel that ran and why; loop-engine
+        runs ran none and record none."""
+        from repro.api import Provenance, RunSpec, execute
+
+        small = {"replicas": 4, "n": 16}
+        auto = execute(RunSpec("EXP-T222", overrides=small)).provenance
+        assert auto.kernel == ("jit" if numba_available() else "fused")
+        assert auto.kernel_reason == "heuristic"
+        named = execute(
+            RunSpec("EXP-T222", kernel="fused", overrides=small)
+        ).provenance
+        assert (named.kernel, named.kernel_reason) == ("fused", "explicit")
+        clone = Provenance.from_payload(named.to_payload())
+        assert (clone.kernel, clone.kernel_reason) == ("fused", "explicit")
+        loop = execute(RunSpec(
+            "EXP-T221", engine="loop", overrides={"replicas": 4}
+        )).provenance
+        assert loop.engine == "loop"
+        assert loop.kernel is None and loop.kernel_reason is None
+
 
 class TestRunSpecThreads:
+    """RunSpec no longer has a threads field, but records written while
+    it did (``"threads": null`` in every one) must still load."""
+
+    #: A job record as stored before the knob was removed.
+    JOB = """{
+      "attempts": 0, "claimed_at": null, "coalesced_into": null,
+      "error": null, "finished_at": null, "id": "j0123456789ab",
+      "key": "EXP-F4.fast.s3", "max_retries": 3, "not_before": 0.0,
+      "schema": 1,
+      "spec": {
+        "engine": null, "experiment_id": "EXP-F4", "graph_schedule": null,
+        "kernel": null, "markdown": false, "overrides": {},
+        "preset": "fast", "seed": 3, "threads": null, "timeout_s": null,
+        "trace": false
+      },
+      "state": "queued", "submitted_at": 1700000000.0,
+      "worker_host": null, "worker_pid": null
+    }"""
+
+    def _spec_json(self, threads):
+        payload = json.loads(self.JOB)["spec"]
+        payload["threads"] = threads
+        return json.dumps(payload)
+
     def test_round_trip_label_and_key(self):
         from repro.api import RunSpec
+        from repro.jobs import Job
 
-        spec = RunSpec("EXP-T222", kernel="jit-par", threads=2)
+        spec = RunSpec.from_json(self._spec_json(None))
+        assert spec == RunSpec("EXP-F4", seed=3)
+        assert "threads" not in spec.to_payload()
+        assert spec.label() == "EXP-F4[fast, seed=3]"
         assert RunSpec.from_json(spec.to_json()) == spec
-        assert "threads=2" in spec.label()
-        assert spec.key() != RunSpec("EXP-T222", kernel="jit-par").key()
-        # The default is absent everywhere: old specs keep their keys.
-        bare = RunSpec("EXP-T222")
-        assert "threads" not in bare.label()
-        assert bare.key() == RunSpec("EXP-T222", threads=None).key()
+        job = Job.from_payload(json.loads(self.JOB))
+        assert job.spec == spec and job.key == spec.key() == "EXP-F4.fast.s3"
 
     def test_validation(self):
         from repro.api import RunSpec
-        from repro.exceptions import SpecError
+        from repro.exceptions import JobError, SpecError
+        from repro.jobs import Job
 
-        with pytest.raises(SpecError):
-            RunSpec("EXP-T222", threads=0)
-        with pytest.raises(SpecError):
-            RunSpec("EXP-T222", threads=True)
+        with pytest.raises(SpecError, match="removed"):
+            RunSpec.from_json(self._spec_json(2))
+        payload = json.loads(self.JOB)
+        payload["spec"]["threads"] = 2
+        with pytest.raises(JobError, match="removed") as caught:
+            Job.from_payload(payload)
+        assert isinstance(caught.value.__cause__, SpecError)
 
-    def test_resolution_folds_threads(self):
-        from repro.api import RunSpec, resolve_spec
+    def test_fsck_quarantines_set_threads(self, tmp_path):
+        # A job queued with a set value no longer parses: fsck reports
+        # it and --repair moves it to corrupt/ (it must be resubmitted);
+        # a record with "threads": null stays listed and untouched.
+        from repro.jobs import JobQueue, fsck
+        from repro.jobs.queue import CORRUPT_DIR
 
-        spec = RunSpec("EXP-T222", threads=3)
-        assert resolve_spec(spec)["threads"] == 3
-        # Unset, the declared parameter resolves to its None default —
-        # exactly how engine/kernel defaults materialise.
-        assert resolve_spec(RunSpec("EXP-T222"))["threads"] is None
-        # Experiments without the parameter ignore the field.
-        assert "threads" not in resolve_spec(RunSpec("EXP-VT", threads=2))
+        queue = JobQueue(tmp_path)
+        queue.ensure_layout()
+        payload = json.loads(self.JOB)
+        (tmp_path / "queued" / "j0123456789ab.json").write_text(self.JOB)
+        payload["id"] = "jthreads0002"
+        payload["spec"]["threads"] = 2
+        (tmp_path / "queued" / "jthreads0002.json").write_text(
+            json.dumps(payload)
+        )
+        assert [job.id for job in queue.jobs()] == ["j0123456789ab"]
+        report = fsck(tmp_path, grace_s=0.0)
+        assert report["clean"] is False
+        assert any("jthreads0002" in line for line in report["findings"])
+        repaired = fsck(tmp_path, repair=True, grace_s=0.0)
+        assert repaired["clean"] is True
+        assert (tmp_path / CORRUPT_DIR / "jthreads0002.json").exists()
+        assert (tmp_path / "queued" / "j0123456789ab.json").exists()
 
-    def test_threads_param_declaration(self):
-        from repro.api import get_experiment, threads_param
+    def test_provenance_with_threads_loads(self):
+        from repro.api import Provenance
 
-        param = threads_param()
-        assert param.default is None
-        assert param.coerce("threads", "4") == 4
-        experiment = get_experiment("EXP-T222")
-        assert "threads" in experiment.params
-        assert experiment.accepts_threads
+        provenance = Provenance.from_payload({
+            "parameters": {"n": 16, "kernel": "auto", "threads": 2},
+            "engine": "batch", "version": "1.0.0", "graph_hashes": [],
+            "wall_time_s": 0.5, "timestamp": 1700000000.0,
+            "kernel": "fused", "kernel_reason": "heuristic", "threads": 2,
+        })
+        assert (provenance.kernel, provenance.kernel_reason) == (
+            "fused", "heuristic"
+        )
