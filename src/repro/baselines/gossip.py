@@ -12,6 +12,11 @@ exact initial average with ``Var(F) = 0``.  The price is coordination —
 two nodes must update simultaneously.  EXP-PRICE quantifies what the
 paper calls the *price of simplicity* by comparing the spread of ``F``
 under the NodeModel/EdgeModel against this zero-variance baseline.
+
+EXP-PRICE samples it with :func:`gossip_to_consensus_batch`, which
+steps all replicas at once.  The scalar :class:`PairwiseGossip` is the
+test oracle its consensus times are checked against, and the examples
+use it.
 """
 
 from __future__ import annotations
@@ -109,3 +114,67 @@ class PairwiseGossip:
                 )
             self.run(min(64, max_steps - (self.t - start)))
         return self.average, self.t - start
+
+
+def gossip_to_consensus_batch(
+    adjacency: Adjacency,
+    initial: Sequence[float],
+    replicas: int,
+    seed: SeedLike = None,
+    discrepancy_tol: float = 1e-9,
+    max_steps: int = 50_000_000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``replicas`` independent :meth:`PairwiseGossip.run_to_consensus` runs.
+
+    Returns the per-replica ``(value, steps)`` arrays.  The law is the
+    scalar one: the spread is checked before every 64-step chunk, a
+    replica stops at the first check within ``discrepancy_tol`` and
+    reports its mean, and :class:`ConvergenceError` is raised once a
+    replica reaches ``max_steps`` unconverged.  Each chunk draws one
+    C-order ``(chunk, replicas)`` block of edge indices for the whole
+    batch and discards the columns of stopped replicas, so a replica's
+    stream does not depend on when the others stop.
+    """
+    n = adjacency.n
+    start = np.asarray(initial, dtype=np.float64)
+    if start.shape != (n,):
+        raise ParameterError(
+            f"initial_values must have shape ({n},), got {start.shape}"
+        )
+    if int(replicas) != replicas or replicas < 1:
+        raise ParameterError(f"replicas must be a positive integer, got {replicas}")
+    rng = as_generator(seed)
+    mask = adjacency.edge_tails < adjacency.edge_heads
+    tails = adjacency.edge_tails[mask]
+    heads = adjacency.edge_heads[mask]
+
+    values = np.tile(start, (replicas, 1))
+    flat = values.reshape(-1)
+    value = np.empty(replicas, dtype=np.float64)
+    steps = np.empty(replicas, dtype=np.int64)
+    active = np.arange(replicas)
+    t = 0
+    while True:
+        rows = values[active]
+        spread = rows.max(axis=1) - rows.min(axis=1)
+        done = ~(spread > discrepancy_tol)
+        value[active[done]] = rows[done].mean(axis=1)
+        steps[active[done]] = t
+        active = active[~done]
+        if active.size == 0:
+            return value, steps
+        if t >= max_steps:
+            raise ConvergenceError(
+                f"{active.size} of {replicas} replicas above discrepancy "
+                f"{discrepancy_tol:.3e} after {max_steps} steps"
+            )
+        chunk = min(64, max_steps - t)
+        edges = rng.integers(len(tails), size=(chunk, replicas))[:, active]
+        base = active * n
+        us = tails[edges] + base
+        vs = heads[edges] + base
+        for u, v in zip(us, vs):
+            mid = 0.5 * (flat[u] + flat[v])
+            flat[u] = mid
+            flat[v] = mid
+        t += chunk

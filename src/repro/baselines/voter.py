@@ -6,8 +6,11 @@ neighbour.  This is the discrete ancestor of the paper's NodeModel
 *initial* opinions, with P(opinion of node u wins) = ``d_u / 2m`` — the
 same degree weighting that shows up as the NodeModel's ``E[F]``.
 
-Used by EXP-PRICE to contrast the averaging process's concentrated ``F``
-with the voter model's two-point (or worse) limit law.
+EXP-PRICE contrasts the averaging process's concentrated ``F`` with the
+voter model's two-point (or worse) limit law.  It samples the voter
+column on the batch engine, as the NodeModel with ``k = 1, alpha = 0``
+(every value stays exactly one of the initial values); the scalar
+:class:`VoterModel` here is the test oracle and the examples' version.
 """
 
 from __future__ import annotations

@@ -76,8 +76,8 @@ from repro.rng import SeedLike, as_generator
 #: way a default-configured primal run does).
 DEFAULT_DUAL_BLOCK_ROUNDS = 256
 
-#: Per-array element budget of one block's scratch (movement planes are
-#: (R, B, n); blocks are shortened so huge batches stay bounded).
+#: Element budget of one free-run block: its R rounds are shortened so
+#: that R * B * plane_width stays within it.
 _DUAL_BLOCK_BUDGET = 2_097_152
 
 #: Valid DualSpec kinds.
@@ -467,42 +467,32 @@ class BatchWalks(BatchDualProcess):
         for step in schedule:
             self.step_with(step)
 
-    def _movement_rounds(self, remaining: int) -> int:
-        return max(
-            1,
-            min(
-                remaining,
-                _DUAL_BLOCK_BUDGET // max(1, self.replicas * self.n),
-            ),
-        )
-
     def apply_selections(self, selections: RecordedSelections) -> None:
         """Advance every replica through its own selection stream.
 
-        Movement planes are drawn in C-order ``(R, B, n)`` chunks, so
-        the realized trajectories are invariant to the chunking.
-        No-op entries (``keep = False``) skip their replica's walks but
-        still consume that replica's plane — freeze/noop patterns never
-        shift their neighbours' variates, as in the primal kernels.
+        Each round draws its ``(B, n)`` movement plane just before it
+        runs.  The generator yields doubles in order, so this is the
+        stream of one C-order ``(R, B, n)`` draw without holding it,
+        and the realized trajectories do not depend on how the rounds
+        are chunked.  No-op entries (``keep = False``) skip their
+        replica's walks but still consume that replica's plane —
+        freeze/noop patterns never shift their neighbours' variates,
+        as in the primal kernels.
         """
         if selections.replicas != self.replicas:
             raise ParameterError(
                 f"selection stream has {selections.replicas} replicas, "
                 f"batch has {self.replicas}"
             )
-        total = len(selections)
-        done = 0
-        while done < total:
-            rounds = self._movement_rounds(total - done)
-            planes = self.rng.random((rounds, self.replicas, self.n))
-            for r in range(rounds):
-                t = done + r
-                self.t += 1
-                keep = None if selections.keep is None else selections.keep[t]
-                self._apply_round(
-                    selections.nodes[t], selections.picked[t], keep, planes[r]
-                )
-            done += rounds
+        for t in range(len(selections)):
+            self.t += 1
+            keep = None if selections.keep is None else selections.keep[t]
+            self._apply_round(
+                selections.nodes[t],
+                selections.picked[t],
+                keep,
+                self.rng.random((self.replicas, self.n)),
+            )
 
     def run(self, steps: int) -> None:
         """Free-run ``steps`` rounds: fresh selections plus movement."""
@@ -563,38 +553,67 @@ class BatchCoalescing(BatchDualProcess):
             if track_positions
             else None
         )
-        self._occupied = np.ones((B, n), dtype=bool)
+        # Flat (B * n) occupancy: entry b * n + u says whether replica
+        # b has a walk at node u.
+        self._occupied = np.ones(B * n, dtype=bool)
+        self._base = self._rows * n
         self.num_clusters = np.full(B, n, dtype=np.int64)
         self._degrees = self.adjacency.degrees
 
     # ------------------------------------------------------------------
     # Stepping
     # ------------------------------------------------------------------
-    def _apply_round(self, u: np.ndarray) -> None:
-        """One vectorized coalescing round from one ``(B,)`` uniform."""
-        scaled = u * self.n
+    def _decode_block(
+        self, block: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decode one ``(R, B)`` uniform block into per-round moves.
+
+        Returns the mover coin and the source and target of every
+        (round, replica) entry as flat indices ``b * n + node`` into
+        the occupancy table.  None of it depends on the state, so the
+        block is decoded at once; the arithmetic is elementwise and the
+        same as a round-by-round decode, so the walks are bit-identical
+        for every ``block_rounds``.
+        """
+        scaled = block * self.n
         nodes = scaled.astype(np.int64)
         frac = scaled - nodes
         beta = 1.0 - self.alpha
-        stay = frac < self.alpha
+        move = frac >= self.alpha
         deg = self._degrees[nodes]
         slot = ((frac - self.alpha) / beta * deg).astype(np.int64)
         np.clip(slot, 0, deg - 1, out=slot)
         targets = self._sampler._pick_slots(nodes, slot)
-        act = ~stay & self._occupied[self._rows, nodes]
-        rows = np.flatnonzero(act)
+        nodes += self._base
+        targets += self._base
+        return move, nodes, targets
+
+    def _apply_round(
+        self, move: np.ndarray, src: np.ndarray, dst: np.ndarray
+    ) -> np.ndarray:
+        """One coalescing round from one decoded ``(B,)`` row.
+
+        Returns the rows whose walk merged into an occupied node.
+        """
+        occupied = self._occupied
+        rows = np.flatnonzero(move & occupied[src])
         if rows.size == 0:
-            return
-        srcs = nodes[rows]
-        dsts = targets[rows]
-        self._occupied[rows, srcs] = False
-        merged = self._occupied[rows, dsts]
-        self._occupied[rows, dsts] = True
+            return rows
+        srcs = src[rows]
+        dsts = dst[rows]
+        occupied[srcs] = False
+        merged = occupied[dsts]
+        occupied[dsts] = True
         self.num_clusters[rows] -= merged
         if self.positions is not None:
+            offset = self._base[rows]
             sub = self.positions[rows]
-            np.copyto(sub, dsts[:, None], where=sub == srcs[:, None])
+            np.copyto(
+                sub, (dsts - offset)[:, None],
+                where=sub == (srcs - offset)[:, None],
+            )
             self.positions[rows] = sub
+        return rows[merged]
 
     def run(self, steps: int) -> None:
         """Execute ``steps`` rounds (coalesced replicas keep stepping)."""
@@ -603,10 +622,12 @@ class BatchCoalescing(BatchDualProcess):
         remaining = steps
         while remaining > 0:
             rounds = self._selection_block_size(remaining, 1)
-            block = self.rng.random((rounds, self.replicas))
+            move, src, dst = self._decode_block(
+                self.rng.random((rounds, self.replicas))
+            )
             for r in range(rounds):
                 self.t += 1
-                self._apply_round(block[r])
+                self._apply_round(move[r], src[r], dst[r])
             remaining -= rounds
 
     def run_to_coalescence(self, max_steps: int = 100_000_000) -> np.ndarray:
@@ -617,7 +638,8 @@ class BatchCoalescing(BatchDualProcess):
         :class:`ConvergenceError` if any replica exhausts
         ``max_steps``.  Every replica keeps consuming its variate
         column after coalescing, so the times are independent of the
-        batch composition.
+        batch composition.  Only a merge can bring a replica down to
+        one walk, so only the rows that merged are tested.
         """
         start = self.t
         times = np.full(self.replicas, -1, dtype=np.int64)
@@ -626,13 +648,16 @@ class BatchCoalescing(BatchDualProcess):
             rounds = self._selection_block_size(
                 max_steps - (self.t - start), 1
             )
-            block = self.rng.random((rounds, self.replicas))
+            move, src, dst = self._decode_block(
+                self.rng.random((rounds, self.replicas))
+            )
             for r in range(rounds):
                 self.t += 1
-                self._apply_round(block[r])
-                fresh = (self.num_clusters == 1) & (times < 0)
-                if fresh.any():
-                    times[fresh] = self.t - start
+                merged = self._apply_round(move[r], src[r], dst[r])
+                if merged.size:
+                    times[merged[self.num_clusters[merged] == 1]] = (
+                        self.t - start
+                    )
         if np.any(times < 0):
             raise ConvergenceError(
                 f"{int(np.sum(times < 0))} of {self.replicas} replicas "

@@ -9,7 +9,10 @@ opinion (degree-weighted), so its limit has the full population variance.
 This experiment runs all three on the same graph and initial values and
 prints the spread of the consensus value, plus convergence-time context
 (including push-sum, which buys exactness with extra per-node state
-instead of coordination).
+instead of coordination).  The NodeModel and the voter model (the
+NodeModel with ``k = 1, alpha = 0``) run on the batch engine, gossip on
+the batched :func:`~repro.baselines.gossip.gossip_to_consensus_batch`;
+push-sum is a single scalar run.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.api import ParamSpec, experiment
-from repro.baselines.gossip import PairwiseGossip
+from repro.baselines.gossip import gossip_to_consensus_batch
 from repro.baselines.pushsum import PushSum
-from repro.baselines.voter import VoterModel
 from repro.core.initial import center_simple, rademacher_values
 from repro.engine.driver import EngineSpec, run_to_consensus_batch
 from repro.graphs.adjacency import Adjacency
@@ -57,23 +59,16 @@ def run(n: int, replicas: int, tol: float, seed: int = 0) -> list[ResultTable]:
     f_node = result.value
     steps_node = result.t
 
-    # The baselines are not the paper's processes: they stay scalar.
-    f_gossip = np.empty(replicas)
-    f_voter = np.empty(replicas)
-    steps_gossip = np.empty(replicas)
-    # Map the +-1 opinions to {0, 1} labels for the voter model.
-    labels = (initial > 0).astype(np.int64)
-    label_values = np.array([initial[labels == 0].mean(), initial[labels == 1].mean()])
-
-    for i, rng in enumerate(spawn(seed, replicas)):
-        gossip = PairwiseGossip(adjacency, initial, seed=rng)
-        value, steps = gossip.run_to_consensus(discrepancy_tol=tol)
-        f_gossip[i] = value
-        steps_gossip[i] = steps
-
-        voter = VoterModel(adjacency, labels, seed=rng)
-        winner, _ = voter.run_to_consensus()
-        f_voter[i] = label_values[winner]
+    gossip_seed, voter_seed = spawn(seed, 2)
+    f_gossip, steps_gossip = gossip_to_consensus_batch(
+        adjacency, initial, replicas, seed=gossip_seed, discrepancy_tol=tol
+    )
+    # alpha = 0 makes every update a plain copy, so each replica ends
+    # with n copies of one initial opinion; F is their mean.
+    f_voter = run_to_consensus_batch(
+        EngineSpec("node", adjacency, initial, 0.0).build(replicas, seed=voter_seed),
+        discrepancy_tol=tol, max_steps=500_000_000,
+    ).value
 
     pushsum = PushSum(adjacency, initial, seed=seed)
     ps_value, ps_steps = pushsum.run_to_accuracy(tol=tol)

@@ -345,18 +345,15 @@ def exact_coalescence_feasible(graph: GraphLike) -> bool:
     Complete graphs lump to the cluster count and are feasible at any
     ``n``; any other graph needs the ``2^n``-state occupied-set chain,
     capped at :data:`MAX_SPARSE_COALESCENCE_N` nodes with SciPy and
-    :data:`MAX_DENSE_COALESCENCE_N` without.
+    :data:`MAX_DENSE_COALESCENCE_N` without.  SciPy is imported only
+    when ``n`` falls between the two caps, where the answer depends on
+    it: the import holds ~24 MB for the rest of the process.
     """
     adjacency = _as_adjacency(graph)
     n = adjacency.n
-    if _is_complete(adjacency):
+    if _is_complete(adjacency) or n <= MAX_DENSE_COALESCENCE_N:
         return True
-    cap = (
-        MAX_SPARSE_COALESCENCE_N
-        if scipy_available()
-        else MAX_DENSE_COALESCENCE_N
-    )
-    return n <= cap
+    return n <= MAX_SPARSE_COALESCENCE_N and scipy_available()
 
 
 def _is_complete(adjacency: Adjacency) -> bool:

@@ -35,6 +35,8 @@ from repro.graphs.properties import is_bipartite
 from repro.sim.montecarlo import sample_meeting_times, validate_engine
 from repro.theory.absorbing import (
     DENSE_STATE_CUTOFF,
+    MAX_DENSE_COALESCENCE_N,
+    MAX_SPARSE_COALESCENCE_N,
     exact_coalescence_feasible,
     exact_coalescence_time,
     expected_meeting_time,
@@ -150,6 +152,28 @@ class TestStructuralLaws:
         assert not exact_coalescence_feasible(graph)
         with pytest.raises(ParameterError, match="occupied-set chain"):
             exact_coalescence_time(graph)
+
+    def test_feasibility_consults_scipy_only_between_caps(self, monkeypatch):
+        """Outside the n-band where the cap depends on SciPy the check
+        must not import it: the import stays resident for the process."""
+        import repro.theory.absorbing as absorbing
+
+        calls = []
+
+        def probe(available):
+            def scipy_available():
+                calls.append(available)
+                return available
+            return scipy_available
+
+        monkeypatch.setattr(absorbing, "scipy_available", probe(True))
+        assert exact_coalescence_feasible(cycle_graph(MAX_DENSE_COALESCENCE_N))
+        assert not exact_coalescence_feasible(cycle_graph(MAX_SPARSE_COALESCENCE_N + 1))
+        assert calls == []
+        assert exact_coalescence_feasible(cycle_graph(MAX_SPARSE_COALESCENCE_N))
+        monkeypatch.setattr(absorbing, "scipy_available", probe(False))
+        assert not exact_coalescence_feasible(cycle_graph(MAX_DENSE_COALESCENCE_N + 1))
+        assert calls == [True, False]
 
     def test_mfpt_multiple_targets(self):
         """Hitting either endpoint of P3 from the middle: the middle

@@ -9,12 +9,19 @@ from repro.baselines.friedkin_johnsen import (
     FriedkinJohnsenModel,
     LimitedInfoFriedkinJohnsen,
 )
-from repro.baselines.gossip import PairwiseGossip
+from repro.baselines.gossip import PairwiseGossip, gossip_to_consensus_batch
 from repro.baselines.hegselmann_krause import HegselmannKrauseModel
 from repro.baselines.load_balancing import SynchronousDiffusion, diffusion_matrix
 from repro.baselines.pushsum import PushSum
 from repro.baselines.voter import VoterModel, win_probabilities
+from repro.engine.driver import EngineSpec, run_to_consensus_batch
 from repro.exceptions import ConvergenceError, ParameterError
+from repro.graphs.adjacency import Adjacency
+from repro.rng import spawn
+
+#: Two-sided |z| limit of the statistical checks below: a false-alarm
+#: rate of 6.3e-5 per cell (normal approximation).
+Z_LIMIT = 4.0
 
 
 class TestVoterModel:
@@ -60,6 +67,93 @@ class TestVoterModel:
     def test_shape_validation(self, triangle):
         with pytest.raises(ParameterError):
             VoterModel(triangle, [1, 2], seed=0)
+
+
+class TestEngineVoter:
+    """The batch engine's NodeModel at ``k = 1, alpha = 0`` is the voter model.
+
+    Opinions are small integers, so the mean of ``n`` equal copies (the
+    consensus value ``run_to_consensus_batch`` reports) is exact.  The law check z-tests the
+    frequency of each opinion against the exact
+    ``sum(win_probabilities)`` over the nodes holding it: 3 cells on
+    each of 2 graphs at ``Z_LIMIT``, a family-wise false-alarm rate of
+    at most 6 x 6.3e-5 = 3.8e-4 (Bonferroni) at a random seed.
+    """
+
+    REPLICAS = 4000
+
+    GRAPHS = {
+        "regular": (
+            lambda: nx.random_regular_graph(4, 12, seed=3),
+            np.repeat([0.0, 1.0, 2.0], [2, 4, 6]),
+        ),
+        # Hub 0 holds opinion 0 and half of the stationary mass.
+        "star": (lambda: nx.star_graph(5), np.array([0.0, 1, 1, 2, 2, 2])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_values_and_law(self, name):
+        make_graph, initial = self.GRAPHS[name]
+        adjacency = Adjacency.from_graph(make_graph())
+        batch = EngineSpec("node", adjacency, initial, 0.0).build(
+            self.REPLICAS, seed=11
+        )
+        value = run_to_consensus_batch(batch, discrepancy_tol=1e-9).value
+        assert np.all(np.isin(batch.values, initial))
+        assert np.all(np.isin(value, initial))
+        pi = win_probabilities(adjacency)
+        for opinion in np.unique(initial):
+            p = float(pi[initial == opinion].sum())
+            count = int(np.sum(value == opinion))
+            z = (count - self.REPLICAS * p) / np.sqrt(self.REPLICAS * p * (1 - p))
+            assert abs(z) <= Z_LIMIT, (opinion, count, p, z)
+
+
+class TestGossipBatch:
+    @pytest.fixture
+    def adjacency(self, small_regular):
+        return Adjacency.from_graph(small_regular)
+
+    def test_values_are_initial_average(self, adjacency, rng):
+        initial = rng.normal(size=10)
+        value, steps = gossip_to_consensus_batch(
+            adjacency, initial, 200, seed=1, discrepancy_tol=1e-9
+        )
+        assert value.shape == steps.shape == (200,)
+        assert np.all(np.abs(value - initial.mean()) <= 1e-12)
+        assert np.all(steps > 0)
+
+    def test_mean_steps_match_scalar_oracle(self, adjacency, rng):
+        """Two-sample z-test of mean steps, |z| <= Z_LIMIT (rate 6.3e-5)."""
+        initial = rng.normal(size=10)
+        _, batch_steps = gossip_to_consensus_batch(
+            adjacency, initial, 4000, seed=2, discrepancy_tol=1e-6
+        )
+        scalar_steps = np.array([
+            PairwiseGossip(adjacency, initial, seed=r).run_to_consensus(
+                discrepancy_tol=1e-6
+            )[1]
+            for r in spawn(3, 400)
+        ])
+        se = np.hypot(
+            batch_steps.std(ddof=1) / np.sqrt(len(batch_steps)),
+            scalar_steps.std(ddof=1) / np.sqrt(len(scalar_steps)),
+        )
+        z = (batch_steps.mean() - scalar_steps.mean()) / se
+        assert abs(z) <= Z_LIMIT, z
+
+    def test_budget_raises(self, adjacency, rng):
+        with pytest.raises(ConvergenceError):
+            gossip_to_consensus_batch(
+                adjacency, rng.normal(size=10), 8, seed=4,
+                discrepancy_tol=1e-9, max_steps=5,
+            )
+
+    def test_shape_validation(self, triangle):
+        with pytest.raises(ParameterError):
+            gossip_to_consensus_batch(
+                Adjacency.from_graph(triangle), [0.0, 1.0], 4, seed=0
+            )
 
 
 class TestPairwiseGossip:

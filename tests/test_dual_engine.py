@@ -31,6 +31,7 @@ from repro.exceptions import ConvergenceError, ParameterError
 from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import (
     erdos_renyi_graph,
+    lollipop_graph,
     random_regular_graph,
     star_graph,
 )
@@ -360,6 +361,30 @@ class TestBatchWalks:
             assert moved.tolist() == [node]
             assert batch.positions[b, node] == target
 
+    def test_apply_selections_consumes_one_c_order_plane(self, regular16):
+        """Per-round planes are the stream of one (R, B, n) draw."""
+        primal = BatchNodeModel(
+            regular16, np.zeros(16), 0.5, k=2, replicas=3, seed=5
+        )
+        primal.record_selections()
+        primal.run(300)
+        selections = primal.recorded_selections()
+        batch, oracle = (
+            BatchWalks(
+                regular16, cost=np.zeros(16), alpha=0.4, k=2, replicas=3,
+                seed=6,
+            )
+            for _ in range(2)
+        )
+        batch.apply_selections(selections)
+        planes = oracle.rng.random((300, 3, 16))
+        for t in range(300):
+            keep = None if selections.keep is None else selections.keep[t]
+            oracle._apply_round(
+                selections.nodes[t], selections.picked[t], keep, planes[t]
+            )
+        np.testing.assert_array_equal(batch.positions, oracle.positions)
+
     def test_positions_validation(self, regular16):
         with pytest.raises(ParameterError):
             BatchWalks(
@@ -399,7 +424,7 @@ def _coalescing_oracle(adjacency, alpha, block, positions):
 class TestBatchCoalescing:
     @pytest.mark.parametrize("alpha", [0.0, 0.4])
     def test_block_bit_identical_to_oracle(self, regular16, alpha):
-        steps = 200  # single block (< default block_rounds)
+        steps = 600  # three blocks at the default block_rounds
         batch = BatchCoalescing(regular16, alpha=alpha, replicas=5, seed=13)
         batch.run(steps)
         oracle_rng = as_generator(13)
@@ -411,6 +436,28 @@ class TestBatchCoalescing:
         np.testing.assert_array_equal(batch.positions, expected)
         for b in range(5):
             assert batch.num_clusters[b] == len(set(expected[b].tolist()))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.4])
+    @pytest.mark.parametrize("graph", ["regular16", "lollipop"])
+    def test_chunk_invariance(self, request, graph, alpha):
+        """Positions and coalescence times do not depend on block_rounds."""
+        adjacency = (
+            request.getfixturevalue(graph) if graph == "regular16"
+            else Adjacency.from_graph(lollipop_graph(10))
+        )
+        positions, times = [], []
+        for block_rounds in (1, 7, None):
+            batch = BatchCoalescing(adjacency, alpha=alpha, replicas=5, seed=29)
+            walks = BatchCoalescing(adjacency, alpha=alpha, replicas=5, seed=31)
+            if block_rounds is not None:
+                batch.block_rounds = walks.block_rounds = block_rounds
+            batch.run(600)  # more than two default blocks
+            positions.append(batch.positions)
+            times.append(walks.run_to_coalescence())
+        assert times[-1].max() > 256
+        for other_positions, other_times in zip(positions[:-1], times[:-1]):
+            np.testing.assert_array_equal(other_positions, positions[-1])
+            np.testing.assert_array_equal(other_times, times[-1])
 
     def test_cluster_count_matches_occupancy(self, regular16):
         batch = BatchCoalescing(regular16, alpha=0.0, replicas=8, seed=3)
