@@ -1,7 +1,6 @@
 """The declarative run API: one execution path for every experiment.
 
-This package replaces ad-hoc ``run(fast=..., seed=...)`` invocation with
-four cooperating pieces (see DESIGN.md section 5):
+It is built from these cooperating pieces (see DESIGN.md section 5):
 
 * :class:`RunSpec` / :class:`RunResult` (:mod:`repro.api.spec`) — typed,
   JSON-round-trippable descriptions of a run and its outcome, the latter

@@ -2,23 +2,18 @@
 
 Each experiment module declares itself with the :func:`experiment`
 decorator: a stable id, the paper artefact it reproduces, a typed
-parameter schema, and the ``fast`` / ``full`` scale presets as *data*
-(replacing the former ``fast=True`` boolean and per-module ``if``
-ladders).  The decorated runner keeps the legacy call convention
-``run(fast=True, seed=0, **overrides)`` so existing callers (benchmarks,
-notebooks) are unaffected, while the run API executes the underlying
-function through :meth:`Experiment.run` with fully resolved parameters.
+parameter schema, and the ``fast`` / ``full`` scale presets as *data*.
+The run API executes the decorated function through
+:meth:`Experiment.run` with fully resolved parameters.
 
-The registry replaces both the hand-maintained ``EXPERIMENTS`` dict and
-the CLI's ``inspect.signature`` sniffing for the ``engine`` kwarg: which
-parameters an experiment accepts is now declared, not guessed.
+Which parameters an experiment accepts (``engine``, ``kernel``, ...) is
+declared here, not guessed from the runner's signature.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping
 
 from repro.engine.dynamic import SCHEDULE_KINDS
 from repro.engine.kernels import KERNEL_CHOICES
@@ -169,9 +164,6 @@ class Experiment:
     params: Dict[str, ParamSpec]
     presets: Dict[str, Dict[str, Any]]
     module: str = ""
-    legacy_runner: Callable[..., List[ResultTable]] = field(
-        default=None, repr=False
-    )
 
     @property
     def accepts_engine(self) -> bool:
@@ -281,8 +273,7 @@ def experiment(
     declared parameter.  The decorator validates the declaration (preset
     keys must be declared parameters, both scale presets must exist, and
     each preset must complete the required parameters), registers the
-    :class:`Experiment`, and returns a legacy-compatible wrapper
-    ``run(fast=True, seed=0, **overrides)``.
+    :class:`Experiment`, and returns ``fn`` unchanged.
     """
 
     def decorate(fn: Callable[..., List[ResultTable]]) -> Callable:
@@ -309,16 +300,7 @@ def experiment(
                 )
             exp.resolve(preset_name)  # raises if required params are unset
         REGISTRY[experiment_id] = exp
-
-        @functools.wraps(fn)
-        def legacy(fast: bool = True, seed: int = 0, **overrides):
-            return exp.run(
-                preset="fast" if fast else "full", seed=seed, overrides=overrides
-            )
-
-        legacy.experiment = exp
-        exp.legacy_runner = legacy
-        return legacy
+        return fn
 
     return decorate
 

@@ -1,7 +1,7 @@
 """Execution of :class:`~repro.api.RunSpec`\\ s with recorded provenance.
 
 :func:`execute` is the single path every front end uses — the subcommand
-CLI, the legacy shim, the sweep driver, and the CI smoke job all funnel
+CLI, the sweep driver, the job service and the CI smoke job all funnel
 through it, so a spec archived today replays identically tomorrow.
 
 With ``spec.trace`` the whole run executes under an enabled

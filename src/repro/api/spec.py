@@ -167,7 +167,7 @@ class RunSpec:
         preset, seed and effective overrides; output options do not
         participate) share a key, so re-running a configuration
         overwrites its archived artefact — one canonical record per
-        configuration, as with ``repro.io.save_bundle``.
+        configuration.
         """
         parts = [self.experiment_id, self.preset, f"s{self.seed}"]
         effective = self._effective_overrides()

@@ -1,9 +1,9 @@
 """Manifest-indexed archive of executed runs.
 
-The :class:`ArtifactStore` absorbs the flat-file ``repro.io`` bundle
-layer into a directory with one JSON artefact per run configuration plus
-a ``manifest.json`` index, so archived runs can be listed, reloaded and
-regression-diffed *by spec* instead of by guessing file names:
+The :class:`ArtifactStore` is a directory with one JSON artefact per run
+configuration plus a ``manifest.json`` index, so archived runs can be
+listed, reloaded and regression-diffed *by spec* instead of by guessing
+file names:
 
 ```
 store/
@@ -13,10 +13,9 @@ store/
 ```
 
 Keys come from :meth:`RunSpec.key`; saving the same configuration twice
-overwrites its artefact (one canonical record per configuration, the
-``save_bundle`` convention).  Table comparison reuses
-:func:`repro.io.diff_tables`, and legacy ``ResultBundle`` archives can be
-absorbed with :meth:`ArtifactStore.import_bundle`.
+overwrites its artefact (one canonical record per configuration).
+:func:`diff_results` compares two runs table by table with
+:func:`diff_tables`.
 
 The store is safe under concurrent writers — the job service points
 many worker processes at one store.  Artefact and manifest writes are
@@ -39,16 +38,17 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Dict, List
 
 from repro.api.spec import RunResult, RunSpec
-from repro.exceptions import ArtifactError, SpecError, StorageError
-from repro.io import ResultBundle, diff_tables
+from repro.exceptions import ArtifactError, ParameterError, SpecError, StorageError
 from repro.locks import FileLock, atomic_write_text, read_text
 from repro.obs.metrics import METRICS
+from repro.sim.results import ResultTable
 
 MANIFEST_NAME = "manifest.json"
 #: corrupt artefacts are moved here (never deleted) pending recompute.
@@ -60,13 +60,48 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def diff_tables(
+    old: ResultTable, new: ResultTable, rel_tol: float = 0.25
+) -> List[str]:
+    """Human-readable differences between two runs of the same table.
+
+    Finite numeric cells are compared with relative tolerance ``rel_tol``
+    (Monte-Carlo tables fluctuate run to run); a non-finite cell matches
+    only an equal cell or, for NaN, another NaN.  Structural differences
+    (columns, row counts) are always reported.
+    """
+    if not (math.isfinite(rel_tol) and rel_tol >= 0):
+        raise ParameterError(f"rel_tol must be finite and >= 0, got {rel_tol}")
+    problems: List[str] = []
+    if list(old.columns) != list(new.columns):
+        problems.append(f"columns changed: {list(old.columns)} -> {list(new.columns)}")
+        return problems
+    if len(old.rows) != len(new.rows):
+        problems.append(f"row count changed: {len(old.rows)} -> {len(new.rows)}")
+        return problems
+    for i, (row_old, row_new) in enumerate(zip(old.rows, new.rows)):
+        for column, a, b in zip(old.columns, row_old, row_new):
+            if isinstance(a, (int, float)) and isinstance(b, (int, float)) \
+                    and not isinstance(a, bool) and not isinstance(b, bool):
+                if math.isfinite(a) and math.isfinite(b):
+                    scale = max(abs(a), abs(b), 1e-12)
+                    drifted = abs(a - b) / scale > rel_tol
+                else:
+                    drifted = a != b and not (math.isnan(a) and math.isnan(b))
+            else:
+                drifted = a != b
+            if drifted:
+                problems.append(f"row {i}, column {column!r}: {a!r} -> {b!r}")
+    return problems
+
+
 def diff_results(
     old: RunResult, new: RunResult, rel_tol: float = 0.25
 ) -> List[str]:
     """Human-readable differences between two runs (empty = match).
 
     Tables are paired by title; numeric cells compare with relative
-    tolerance ``rel_tol`` via :func:`repro.io.diff_tables`.  Spec
+    tolerance ``rel_tol`` via :func:`diff_tables`.  Spec
     mismatches (different experiment) are reported first — diffing a run
     against a different experiment is almost certainly a mistake.
     """
@@ -456,33 +491,3 @@ class ArtifactStore:
     ) -> List[str]:
         """Regression-diff two runs; see :func:`diff_results`."""
         return diff_results(old, new, rel_tol=rel_tol)
-
-    # ------------------------------------------------------------------
-    # Legacy absorption
-    # ------------------------------------------------------------------
-    def import_bundle(self, bundle: ResultBundle) -> Path:
-        """Absorb a legacy ``repro.io.ResultBundle`` into the store.
-
-        The bundle's ``fast`` flag maps onto the preset; provenance
-        fields the flat format never recorded are marked unknown.
-        """
-        from repro.api.spec import Provenance
-
-        spec = RunSpec(
-            experiment_id=bundle.experiment_id,
-            preset="fast" if bundle.fast else "full",
-            seed=bundle.seed,
-        )
-        result = RunResult(
-            spec=spec,
-            tables=list(bundle.tables),
-            provenance=Provenance(
-                parameters={},
-                engine=None,
-                version="unknown",
-                graph_hashes=[],
-                wall_time_s=0.0,
-                timestamp=bundle.timestamp,
-            ),
-        )
-        return self.save(result)

@@ -1,21 +1,29 @@
 """Spec-level parameter sweeps: one RunSpec per grid point.
 
-Where :func:`repro.sim.sweep.sweep` evaluates an in-process callable
-over a cartesian grid, this module expands a grid of *parameter
-overrides* into concrete :class:`~repro.api.RunSpec`\\ s — the shape the
-``repro sweep`` subcommand executes and archives.  Both share
-:func:`repro.sim.sweep.grid`, so the enumeration order is identical.
+This module expands a cartesian grid of *parameter overrides* into
+concrete :class:`~repro.api.RunSpec`\\ s — the shape the ``repro sweep``
+subcommand executes and archives.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Sequence
+import itertools
+from typing import Any, Iterator, List, Mapping, Sequence
 
 from repro.api.registry import get_experiment, merge_engine
 from repro.api.spec import RunSpec
 from repro.exceptions import SpecError
 from repro.sim.results import ResultTable
-from repro.sim.sweep import grid
+
+
+def grid(axes: Mapping[str, Sequence[Any]]) -> Iterator[dict]:
+    """Yield one ``{axis: value}`` dict per point of the cartesian product.
+
+    Points appear in lexicographic axis order (last axis fastest).
+    """
+    names = list(axes)
+    for combo in itertools.product(*(axes[name] for name in names)):
+        yield dict(zip(names, combo))
 
 
 def expand_grid(

@@ -42,11 +42,6 @@ forward runs.
 
 ``--kernel`` selects the batch engine's stepping kernel (``auto`` |
 ``numpy`` | ``fused`` | ``jit``; see :mod:`repro.engine.kernels`).
-
-The pre-subcommand invocation ``python -m repro.cli [ids...] [--slow]
-[--engine batch|loop] [--kernel auto|numpy|fused|jit] [--markdown]
-[--save DIR] [--list]`` keeps working through a thin compatibility shim
-that translates it onto the same API.
 """
 
 from __future__ import annotations
@@ -75,74 +70,12 @@ from repro.api import (
 from repro.engine.dynamic import SCHEDULE_KINDS
 from repro.engine.kernels import KERNEL_CHOICES
 from repro.exceptions import ArtifactError, ReproError
-from repro.io import ResultBundle, save_bundle
 from repro.jobs.handle import DEFAULT_ROOT as JOBS_DEFAULT_ROOT
-
-SUBCOMMANDS = (
-    "run", "list", "sweep", "diff", "trace", "cache",
-    "serve", "submit", "status", "fetch", "jobs", "fsck",
-)
 
 
 # ----------------------------------------------------------------------
 # Parsers
 # ----------------------------------------------------------------------
-def build_parser() -> argparse.ArgumentParser:
-    """The legacy pre-subcommand parser (compatibility shim)."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description=(
-            "Reproduce experiments from 'Distributed Averaging in Opinion "
-            "Dynamics' (PODC 2023).  Legacy interface; prefer the "
-            "subcommands: repro run | list | sweep | diff"
-        ),
-    )
-    parser.add_argument(
-        "ids",
-        nargs="*",
-        metavar="EXPERIMENT",
-        help="experiment ids (e.g. EXP-F1 EXP-T222); default: all",
-    )
-    parser.add_argument("--list", action="store_true", help="list experiment ids")
-    parser.add_argument(
-        "--slow",
-        action="store_true",
-        help="use the full-scale parameters (the 'full' preset)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="experiment seed")
-    parser.add_argument(
-        "--engine",
-        choices=("batch", "loop", "exact"),
-        default="batch",
-        help=(
-            "replica simulator for Monte-Carlo experiments: the vectorized "
-            "batch engine (default), the legacy per-replica loop, or the "
-            "exact absorbing-chain solver (experiments that support it)"
-        ),
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=KERNEL_CHOICES,
-        default=None,
-        help=(
-            "stepping kernel of the batch engine: auto (jit if numba "
-            "imports, else fused; default), the legacy per-round numpy "
-            "path, fused multi-round blocks, or the numba jit (falls back "
-            "to fused without numba)"
-        ),
-    )
-    parser.add_argument(
-        "--markdown", action="store_true", help="render tables as markdown"
-    )
-    parser.add_argument(
-        "--save",
-        metavar="DIR",
-        default=None,
-        help="archive result tables as JSON bundles under DIR",
-    )
-    return parser
-
-
 def build_cli_parser() -> argparse.ArgumentParser:
     """The subcommand parser: repro run | list | sweep | diff."""
     parser = argparse.ArgumentParser(
@@ -444,7 +377,8 @@ def _check_ids(ids: Sequence[str]) -> int:
     return 0
 
 
-def _print_result(result: RunResult, markdown: bool, elapsed: float) -> None:
+def _print_result(result: RunResult, markdown: bool) -> None:
+    elapsed = result.provenance.wall_time_s
     print(f"\n### {result.spec.experiment_id}  ({elapsed:.1f}s)\n")
     for table in result.tables:
         print(table.render_markdown() if markdown else table.render())
@@ -490,7 +424,7 @@ def _run_cmd(args: argparse.Namespace) -> int:
         if args.json:
             payloads.append(result.to_payload())
         else:
-            _print_result(result, args.markdown, result.provenance.wall_time_s)
+            _print_result(result, args.markdown)
         if store is not None:
             path = store.save(result)
             if not args.json:
@@ -577,7 +511,7 @@ def _sweep_cmd(args: argparse.Namespace) -> int:
         result = execute(spec)
         results.append(result)
         if not args.json:
-            _print_result(result, args.markdown, result.provenance.wall_time_s)
+            _print_result(result, args.markdown)
         if store is not None:
             path = store.save(result)
             if not args.json:
@@ -807,9 +741,7 @@ def _submit_cmd(args: argparse.Namespace) -> int:
             if args.json:
                 payloads.append(result.to_payload())
             else:
-                _print_result(
-                    result, args.markdown, result.provenance.wall_time_s
-                )
+                _print_result(result, args.markdown)
     if args.json:
         print(json.dumps(payloads, indent=2, default=str))
     return 0
@@ -862,7 +794,7 @@ def _fetch_cmd(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(result.to_payload(), indent=2, default=str))
     else:
-        _print_result(result, args.markdown, result.provenance.wall_time_s)
+        _print_result(result, args.markdown)
     return 0
 
 
@@ -962,76 +894,10 @@ def _diff_cmd(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# Legacy shim
-# ----------------------------------------------------------------------
-def _legacy_main(argv: Sequence[str]) -> int:
-    args = build_parser().parse_args(argv)
-    if args.list:
-        for key in experiment_ids():
-            print(key)
-        return 0
-
-    ids = args.ids or experiment_ids()
-    status = _check_ids(ids)
-    if status:
-        return status
-
-    for experiment_id in ids:
-        spec = RunSpec(
-            experiment_id=experiment_id,
-            preset="full" if args.slow else "fast",
-            seed=args.seed,
-            engine=args.engine,
-            kernel=args.kernel,
-            markdown=args.markdown,
-        )
-        started = time.perf_counter()
-        result = execute(spec)
-        _print_result(result, args.markdown, time.perf_counter() - started)
-        if args.save:
-            path = save_bundle(
-                ResultBundle(
-                    experiment_id=experiment_id,
-                    seed=args.seed,
-                    fast=not args.slow,
-                    tables=list(result.tables),
-                ),
-                args.save,
-            )
-            print(f"saved -> {path}")
-    return 0
-
-
-# ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
-#: Legacy flags that consume the following token as their value.
-_VALUE_FLAGS = ("--seed", "--engine", "--kernel", "--save")
-
-
-def _is_legacy(argv: Sequence[str]) -> bool:
-    """Pre-subcommand invocations: first positional is an experiment id
-    (or there is none at all — the historical run-everything default).
-    Value-taking flags are skipped with their value, so ``--seed 3 run``
-    routes to the subcommand parser (which rejects the misplaced flag
-    with a usage message) instead of reading ``3`` as a positional."""
-    skip_value = False
-    for token in argv:
-        if skip_value:
-            skip_value = False
-            continue
-        if token.startswith("-"):
-            skip_value = token in _VALUE_FLAGS
-            continue
-        return token not in SUBCOMMANDS
-    return True
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if _is_legacy(argv):
-            return _legacy_main(argv)
         args = build_cli_parser().parse_args(argv)
         handler = {
             "run": _run_cmd,

@@ -6,19 +6,10 @@ artefact it reproduces, a typed parameter schema and the ``fast`` /
 ``full`` scale presets as data.  Importing this package triggers the
 registrations — the modules below are imported in the order of the
 DESIGN.md section-3 index, so :data:`repro.api.REGISTRY` iterates in
-index order.
-
-:data:`EXPERIMENTS` remains for legacy callers: it maps each id to the
-decorator-produced wrapper with the historical convention
-``run(fast=True, seed=0, **overrides) -> list[ResultTable]``.  New code
-should execute :class:`repro.api.RunSpec`\\ s through
-:func:`repro.api.execute` instead.
+index order.  Run an experiment with
+``repro.api.get_experiment(id).run(preset, seed, overrides)`` or execute
+a :class:`repro.api.RunSpec` through :func:`repro.api.execute`.
 """
-
-from typing import Callable, Dict, List
-
-from repro.api.registry import REGISTRY
-from repro.sim.results import ResultTable
 
 # Imported for registration side effects, in DESIGN.md index order.
 from repro.experiments import exp_fig_duality  # EXP-F1, EXP-F4
@@ -40,11 +31,3 @@ from repro.experiments import exp_variance_trajectory  # EXP-VT
 from repro.experiments import exp_dynamic_convergence  # EXP-DYN
 from repro.experiments import exp_dynamic_martingale  # EXP-DYNM
 from repro.experiments import exp_coalescing  # EXP-COAL
-
-#: Experiment id -> legacy runner, as indexed in DESIGN.md section 3.
-EXPERIMENTS: Dict[str, Callable[..., List[ResultTable]]] = {
-    experiment_id: experiment.legacy_runner
-    for experiment_id, experiment in REGISTRY.items()
-}
-
-__all__ = ["EXPERIMENTS"]

@@ -17,7 +17,7 @@ Conventions
   ``engine.rng_blocks``, ``engine.blocks.<kernel>`` (dispatches by
   kernel name), ``engine.kernel_fallback``, ``engine.snapshot_switches``,
   ``cache.hits`` / ``cache.misses`` / ``cache.bytes_read`` /
-  ``cache.bytes_written``, ``sweep.cells``, ``api.memo_hits``
+  ``cache.bytes_written``, ``api.memo_hits``
   (``execute_many`` duplicates served without an engine run), and the
   job service's ``jobs.submitted`` / ``jobs.deduped`` /
   ``jobs.retried`` / ``jobs.failed`` / ``jobs.completed`` /

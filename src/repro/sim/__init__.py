@@ -1,10 +1,10 @@
-"""Monte-Carlo harness: seeded replication, estimators, sweeps.
+"""Monte-Carlo harness: seeded replication and estimators.
 
 The variance experiments need i.i.d. samples of the random convergence
 value ``F``; the convergence-time experiments need i.i.d. samples of
 ``T_eps``.  :mod:`repro.sim.montecarlo` provides both with reproducible
-seed fan-out, and :mod:`repro.sim.results` collects printed rows so CLI,
-benchmarks and EXPERIMENTS.md all render the same tables.
+seed fan-out, and :mod:`repro.sim.results` collects the rows every
+front end renders.
 """
 
 from repro.sim.montecarlo import (
@@ -16,16 +16,13 @@ from repro.sim.montecarlo import (
     sample_t_eps,
 )
 from repro.sim.results import ResultTable
-from repro.sim.sweep import grid, sweep
 
 __all__ = [
     "MomentEstimate",
     "ResultTable",
     "estimate_moments",
-    "grid",
     "replicate",
     "sample_f_values",
     "sample_meeting_times",
     "sample_t_eps",
-    "sweep",
 ]

@@ -1,9 +1,9 @@
 """Result tables: the single rendering path for experiments.
 
-Every experiment produces a :class:`ResultTable`; the CLI prints it, the
-benchmark harness prints it, and EXPERIMENTS.md embeds it — one format,
-no drift.  Cells hold raw Python values; formatting is applied at render
-time (floats in engineering-friendly ``%.4g``).
+Every experiment produces a :class:`ResultTable`; the CLI prints it and
+the artifact store archives it — one format, no drift.  Cells hold raw
+Python values; formatting is applied at render time (floats in
+engineering-friendly ``%.4g``).
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from repro.api import (
     resolve_spec,
 )
 from repro.exceptions import ArtifactError, SpecError
-from repro.io import ResultBundle
 from repro.sim.results import ResultTable
 
 
@@ -227,6 +226,15 @@ class TestExpandGrid:
             {"n": 36, "tol": 1e-5},
         ]
 
+    def test_last_axis_varies_fastest(self):
+        specs = expand_grid("EXP-T222", {"n": [24, 36], "tol": [1e-5, 1e-6]})
+        assert [s.overrides for s in specs] == [
+            {"n": 24, "tol": 1e-5},
+            {"n": 24, "tol": 1e-6},
+            {"n": 36, "tol": 1e-5},
+            {"n": 36, "tol": 1e-6},
+        ]
+
     def test_undeclared_axis_rejected(self):
         with pytest.raises(SpecError):
             expand_grid("EXP-T222", {"bogus": [1, 2]})
@@ -315,18 +323,6 @@ class TestArtifactStore:
         (tmp_path / "manifest.json").write_text("{not json")
         with pytest.raises(ArtifactError, match="corrupt manifest"):
             store._read_manifest(heal=False)
-
-    def test_import_bundle_absorbs_legacy_archive(self, tmp_path):
-        table = ResultTable("legacy", ["x"])
-        table.add_row(1)
-        bundle = ResultBundle(
-            experiment_id="EXP-F4", seed=2, fast=False, tables=[table]
-        )
-        store = ArtifactStore(tmp_path)
-        store.import_bundle(bundle)
-        loaded = store.load_spec(RunSpec("EXP-F4", preset="full", seed=2))
-        assert loaded.tables[0].title == "legacy"
-        assert loaded.provenance.version == "unknown"
 
 
 class TestDiffResults:

@@ -1,28 +1,15 @@
-"""Tests for the CLI entry point (subcommands + legacy shim)."""
+"""Tests for the CLI entry point (the subcommand parser)."""
 
 import json
 import re
 
 import pytest
 
-from repro.api import PRESETS, REGISTRY, all_experiments, experiment_ids
-from repro.cli import build_cli_parser, build_parser, main
-from repro.experiments import EXPERIMENTS
+from repro.api import PRESETS, all_experiments, experiment_ids
+from repro.cli import build_cli_parser, main
 
 
 class TestParser:
-    def test_legacy_defaults(self):
-        args = build_parser().parse_args([])
-        assert args.ids == []
-        assert not args.slow
-        assert args.seed == 0
-
-    def test_legacy_id_and_flags(self):
-        args = build_parser().parse_args(["EXP-F1", "--slow", "--seed", "9"])
-        assert args.ids == ["EXP-F1"]
-        assert args.slow
-        assert args.seed == 9
-
     def test_subcommand_run_flags(self):
         args = build_cli_parser().parse_args(
             ["run", "EXP-F1", "--full", "--seed", "3",
@@ -44,12 +31,6 @@ class TestParser:
             ["sweep", "EXP-T222", "--set", "n=24,36", "--kernel", "numpy"]
         )
         assert args.kernel == "numpy"
-        legacy = build_parser().parse_args(["EXP-T222", "--kernel", "jit"])
-        assert legacy.kernel == "jit"
-        # a misplaced value-taking --kernel must not break legacy routing
-        from repro.cli import _is_legacy
-
-        assert not _is_legacy(["--kernel", "fused", "run"])
 
     def test_kernel_reaches_provenance(self, capsys):
         assert main(
@@ -68,29 +49,6 @@ class TestParser:
         assert args.left == "a.json"
         assert args.right == "b.json"
         assert args.rel_tol == 0.5
-
-
-class TestLegacyShim:
-    def test_list(self, capsys):
-        assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        for key in EXPERIMENTS:
-            assert key in out
-
-    def test_unknown_id_fails(self, capsys):
-        assert main(["EXP-NOPE"]) == 2
-        assert "unknown experiment ids" in capsys.readouterr().err
-
-    def test_runs_figure_experiment(self, capsys):
-        assert main(["EXP-F1"]) == 0
-        out = capsys.readouterr().out
-        assert "Figure 1" in out
-        assert "EXP-F1" in out
-
-    def test_markdown_rendering(self, capsys):
-        assert main(["EXP-F4", "--markdown"]) == 0
-        out = capsys.readouterr().out
-        assert "| t |" in out
 
 
 class TestRunCommand:
@@ -123,15 +81,10 @@ class TestRunCommand:
         (entry,) = json.loads(capsys.readouterr().out)
         assert entry["provenance"]["parameters"]["steps"] == 5
 
-    def test_run_matches_legacy_at_fixed_seed(self, capsys):
-        assert main(["run", "EXP-F1", "--seed", "4"]) == 0
-        new_out = capsys.readouterr().out
-        assert main(["EXP-F1", "--seed", "4"]) == 0
-        legacy_out = capsys.readouterr().out
-        strip = lambda text: [
-            line for line in text.splitlines() if not line.startswith("### ")
-        ]
-        assert strip(new_out) == strip(legacy_out)
+    def test_run_markdown_rendering(self, capsys):
+        assert main(["run", "EXP-F4", "--markdown"]) == 0
+        out = capsys.readouterr().out
+        assert "| t |" in out
 
     def test_run_save_archives_to_store(self, tmp_path, capsys):
         assert main(["run", "EXP-F4", "--save", str(tmp_path)]) == 0
@@ -152,6 +105,17 @@ class TestRunCommand:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "run" in err and "usage" in err.lower()
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["EXP-F1"], ["--list"]], ids=["bare", "id", "list"]
+    )
+    def test_pre_subcommand_invocation_gets_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "usage" in captured.err.lower()
+        assert captured.out == ""  # nothing ran
 
 
 class TestListCommand:
@@ -234,6 +198,15 @@ class TestDiffCommand:
         assert main(["diff", str(path), str(other)]) == 1
         assert "->" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rel_tol", ["-1", "nan", "inf"])
+    def test_diff_rejects_bad_rel_tol(self, rel_tol, tmp_path, capsys):
+        self._save_one(tmp_path, capsys)
+        assert main(["diff", "EXP-F4", "EXP-F4", "--store", str(tmp_path),
+                     "--rel-tol", rel_tol]) == 2
+        captured = capsys.readouterr()
+        assert "rel_tol must be finite and >= 0" in captured.err
+        assert captured.out == ""
+
     def test_diff_missing_store_errors(self, capsys):
         assert main(["diff", "EXP-F4", "EXP-F4"]) == 2
         assert "--store" in capsys.readouterr().err
@@ -250,11 +223,6 @@ class TestDiffCommand:
 
 class TestRegistryIntegrity:
     """The decorator registry, DESIGN.md and the presets stay in sync."""
-
-    def test_legacy_mapping_mirrors_registry(self):
-        assert list(EXPERIMENTS) == list(REGISTRY)
-        for key, runner in EXPERIMENTS.items():
-            assert runner.experiment is REGISTRY[key]
 
     def test_all_ids_documented_in_design(self):
         with open("DESIGN.md", encoding="utf-8") as handle:
@@ -294,17 +262,6 @@ class TestRegistryIntegrity:
             "EXP-T242", "EXP-MOM", "EXP-IRR", "EXP-ABL",
             "EXP-F1", "EXP-F4", "EXP-L57", "EXP-COAL",
         }
-
-    def test_legacy_runners_accept_fast_and_seed(self):
-        """The decorator wrappers keep the historical call convention."""
-        import inspect
-
-        for key, runner in EXPERIMENTS.items():
-            signature = inspect.signature(runner, follow_wrapped=False)
-            assert "fast" in signature.parameters, key
-            assert "seed" in signature.parameters, key
-        # And the convention actually executes (cheapest experiment).
-        assert EXPERIMENTS["EXP-F4"](fast=True, seed=0)
 
 
 class TestJobServiceParsers:

@@ -1,21 +1,17 @@
-"""Tests for decay fitting and result persistence."""
+"""Tests for decay fitting and result-table diffs."""
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.analysis.decay import DecayFit, decay_summary, fit_decay_rate
+from repro.api import Provenance, RunResult, RunSpec
+from repro.api.store import diff_tables
 from repro.core.node_model import NodeModel
 from repro.core.runner import Trajectory, record_trajectory
 from repro.exceptions import ParameterError
 from repro.graphs.spectral import second_walk_eigenpair
-from repro.io import (
-    ResultBundle,
-    ResultsIOError,
-    diff_tables,
-    load_all,
-    load_bundle,
-    save_bundle,
-)
 from repro.sim.results import ResultTable
 from repro.theory.contraction import node_model_contraction_factor
 
@@ -78,62 +74,6 @@ class TestDecayFit:
             decay_summary(synthetic_trajectory(1e-3), theoretical_factor=1.0)
 
 
-class TestResultsIO:
-    def make_bundle(self) -> ResultBundle:
-        table = ResultTable("demo", ["x", "y"])
-        table.add_row(1, 2.5)
-        table.add_note("a note")
-        return ResultBundle(
-            experiment_id="EXP-F1", seed=3, fast=True, tables=[table]
-        )
-
-    def test_save_load_roundtrip(self, tmp_path):
-        bundle = self.make_bundle()
-        path = save_bundle(bundle, tmp_path)
-        assert path.name == "EXP-F1.3.fast.json"
-        loaded = load_bundle(path)
-        assert loaded.experiment_id == "EXP-F1"
-        assert loaded.seed == 3
-        assert loaded.fast
-        assert loaded.tables[0].rows == [[1, 2.5]]
-        assert loaded.tables[0].notes == ["a note"]
-
-    def test_overwrite_same_configuration(self, tmp_path):
-        bundle = self.make_bundle()
-        save_bundle(bundle, tmp_path)
-        bundle.tables[0].add_row(2, 3.5)
-        save_bundle(bundle, tmp_path)
-        assert len(list(tmp_path.glob("*.json"))) == 1
-        assert len(load_all(tmp_path)[0].tables[0].rows) == 2
-
-    def test_load_all_sorted(self, tmp_path):
-        for experiment_id in ("EXP-T222", "EXP-F1"):
-            save_bundle(
-                ResultBundle(experiment_id, 0, True, []), tmp_path
-            )
-        bundles = load_all(tmp_path)
-        assert [b.experiment_id for b in bundles] == ["EXP-F1", "EXP-T222"]
-
-    def test_load_all_empty_directory(self, tmp_path):
-        assert load_all(tmp_path / "nothing") == []
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ResultsIOError):
-            load_bundle(tmp_path / "nope.json")
-
-    def test_malformed_json(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ResultsIOError):
-            load_bundle(bad)
-
-    def test_malformed_payload(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"experiment_id": "X"}')
-        with pytest.raises(ResultsIOError):
-            load_bundle(bad)
-
-
 class TestDiffTables:
     def test_identical_tables(self):
         a = ResultTable("t", ["x"], rows=[[1.0]])
@@ -164,47 +104,42 @@ class TestDiffTables:
         b = ResultTable("t", ["ok"], rows=[[False]])
         assert len(diff_tables(a, b)) == 1
 
-
-class TestCliSave:
-    def test_cli_save_writes_bundle(self, tmp_path, capsys):
-        from repro.cli import main
-
-        assert main(["EXP-F4", "--save", str(tmp_path)]) == 0
-        bundles = load_all(tmp_path)
-        assert len(bundles) == 1
-        assert bundles[0].experiment_id == "EXP-F4"
-        assert "saved ->" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "old, new, drifted",
+        [
+            (1.0, float("nan"), True),
+            (float("nan"), 1.0, True),
+            (1.0, float("inf"), True),
+            (float("inf"), 1.0, True),
+            (float("inf"), float("-inf"), True),
+            (float("nan"), float("nan"), False),
+            (float("inf"), float("inf"), False),
+        ],
+    )
+    def test_non_finite_cells(self, old, new, drifted):
+        a = ResultTable("t", ["x"], rows=[[old]])
+        b = ResultTable("t", ["x"], rows=[[new]])
+        assert len(diff_tables(a, b, rel_tol=0.25)) == int(drifted)
 
 
 class TestBundleStoreInterop:
-    """The flat io layer and the ArtifactStore share one table codec."""
+    """Archived run payloads and table diffs share one table codec."""
 
     def test_json_payload_roundtrip_without_disk(self):
-        import json
-
         table = ResultTable("demo", ["x", "ok"])
         table.add_row(1.25, True)
-        bundle = ResultBundle("EXP-F1", seed=4, fast=False, tables=[table])
-        payload = json.loads(json.dumps(bundle.to_payload()))
-        rebuilt = ResultBundle.from_payload(payload)
+        result = RunResult(
+            spec=RunSpec("EXP-F1", preset="full", seed=4),
+            tables=[table],
+            provenance=Provenance(
+                parameters={}, engine=None, version="1.0.0",
+                graph_hashes=[], wall_time_s=0.0, timestamp=0.0,
+            ),
+        )
+        payload = json.loads(json.dumps(result.to_payload()))
+        rebuilt = RunResult.from_payload(payload)
         assert rebuilt.tables[0] == table
-        assert rebuilt.seed == 4 and not rebuilt.fast
-
-    def test_saved_bundle_absorbed_by_store(self, tmp_path):
-        from repro.api import ArtifactStore
-        from repro.api.spec import RunSpec
-
-        table = ResultTable("demo", ["x"])
-        table.add_row(3)
-        bundle = ResultBundle("EXP-F1", seed=2, fast=True, tables=[table])
-        save_bundle(bundle, tmp_path / "bundles")
-        store = ArtifactStore(tmp_path / "store")
-        for loaded in load_all(tmp_path / "bundles"):
-            store.import_bundle(loaded)
-        result = store.load_spec(RunSpec("EXP-F1", seed=2))
-        assert result.tables[0] == table
-        # The absorbed run is diffable like any native artefact.
-        assert store.diff(result, result) == []
+        assert rebuilt.spec.seed == 4 and rebuilt.spec.preset == "full"
 
     def test_diff_tables_mixed_cell_types(self):
         a = ResultTable("t", ["label", "v"], rows=[["x", 1.0]])

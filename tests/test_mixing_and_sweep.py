@@ -1,4 +1,4 @@
-"""Tests for mixing-time utilities and the sweep helper."""
+"""Tests for mixing-time utilities."""
 
 import networkx as nx
 import numpy as np
@@ -6,7 +6,6 @@ import pytest
 
 from repro.dual.qchain import QChain
 from repro.exceptions import ParameterError
-from repro.sim.sweep import sweep, sweep_size
 from repro.theory.mixing import (
     empirical_mixing_time,
     qchain_mixing_tolerance,
@@ -98,56 +97,6 @@ class TestQChainTolerance:
             qchain_mixing_tolerance(0, 1.0)
         with pytest.raises(ParameterError):
             qchain_mixing_tolerance(10, 0.0)
-
-
-class TestSweep:
-    def test_cartesian_product_rows(self):
-        table = sweep(
-            "demo",
-            axes={"a": [1, 2], "b": ["x", "y", "z"]},
-            evaluate=lambda a, b: {"joined": f"{a}{b}"},
-            measurements=["joined"],
-        )
-        assert len(table.rows) == 6
-        assert table.columns == ["a", "b", "joined"]
-        assert table.rows[0] == [1, "x", "1x"]
-        assert table.rows[-1] == [2, "z", "2z"]
-
-    def test_missing_measurement_raises(self):
-        with pytest.raises(ParameterError, match="did not return"):
-            sweep(
-                "demo",
-                axes={"a": [1]},
-                evaluate=lambda a: {},
-                measurements=["m"],
-            )
-
-    def test_empty_axes_rejected(self):
-        with pytest.raises(ParameterError):
-            sweep("demo", axes={}, evaluate=lambda: {}, measurements=["m"])
-
-    def test_sweep_size(self):
-        assert sweep_size({"a": [1, 2], "b": [1, 2, 3]}) == 6
-
-    def test_common_kwargs_reach_every_point(self):
-        table = sweep(
-            "demo",
-            axes={"a": [1, 2]},
-            evaluate=lambda a, engine: {"tag": f"{a}-{engine}"},
-            measurements=["tag"],
-            common={"engine": "loop"},
-        )
-        assert [row[-1] for row in table.rows] == ["1-loop", "2-loop"]
-
-    def test_common_key_colliding_with_axis_rejected(self):
-        with pytest.raises(ParameterError, match="collide"):
-            sweep(
-                "demo",
-                axes={"a": [1]},
-                evaluate=lambda a: {"m": a},
-                measurements=["m"],
-                common={"a": 2},
-            )
 
 
 class TestSparseSpectral:
