@@ -125,14 +125,15 @@ def kernel_param() -> ParamSpec:
 
     Selects the batch engine's stepping kernel
     (:mod:`repro.engine.kernels`); ignored by ``engine="loop"``.
-    ``auto`` resolves to ``jit`` when numba imports and to ``fused``
-    otherwise; an explicit ``jit`` degrades to ``fused`` without numba.
+    ``auto`` resolves to ``jit`` when the compiled C block loop loads
+    and to ``fused`` otherwise; an explicit ``jit`` degrades to
+    ``fused`` without a C compiler.
     """
     return ParamSpec(
         str,
-        "batch stepping kernel: auto (jit if numba imports, else fused), "
-        "per-round numpy, fused blocks, or the numba jit (falls back to "
-        "fused without numba)",
+        "batch stepping kernel: auto (jit if its C loop builds, else "
+        "fused), per-round numpy, fused blocks, or the compiled C jit "
+        "(falls back to fused without a C compiler)",
         default="auto",
         choices=tuple(KERNEL_CHOICES),
     )

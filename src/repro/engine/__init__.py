@@ -20,8 +20,8 @@ Layers
     ``BatchNodeModel`` / ``BatchEdgeModel`` and their lazy variants.
 :mod:`repro.engine.kernels`
     Fused multi-round stepping kernels: pre-drawn block randomness, a
-    minimal-dispatch NumPy inner loop and an optional numba ``"jit"``
-    backend; the full dial is ``kernel="auto"|"numpy"|"fused"|"jit"``.
+    minimal-dispatch NumPy inner loop and a compiled C ``"jit"`` loop
+    built with the system compiler; the full dial is ``kernel="auto"|"numpy"|"fused"|"jit"``.
 :mod:`repro.engine.driver`
     Run-to-consensus over a batch, replica sharding, multiprocessing,
     and the picklable :class:`~repro.engine.driver.EngineSpec`.
@@ -56,7 +56,6 @@ from repro.engine.dynamic import (
 )
 from repro.engine.kernels import (
     KERNEL_CHOICES,
-    numba_available,
     resolve_kernel,
     validate_kernel,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "SnapshotBackends",
     "build_schedule",
     "measure_t_eps_batch",
-    "numba_available",
     "resolve_kernel",
     "validate_kernel",
     "run_to_consensus_batch",

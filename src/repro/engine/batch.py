@@ -115,8 +115,9 @@ class BatchAveragingProcess(abc.ABC):
     kernel:
         One of :data:`~repro.engine.kernels.KERNEL_CHOICES`, resolved
         by :func:`~repro.engine.kernels.resolve_kernel`: ``"auto"``
-        (default) runs ``"jit"`` when numba imports and ``"fused"``
-        otherwise.  The resolved name is exposed as :attr:`kernel`.
+        (default) runs ``"jit"`` when the compiled C block loop loads
+        and ``"fused"`` otherwise.  The resolved name is exposed as
+        :attr:`kernel`.
     """
 
     def __init__(
@@ -499,16 +500,17 @@ class BatchAveragingProcess(abc.ABC):
             rounds = self._block_size(remaining)
             plan = self._plan_block(rounds)
             self._block_exec(self._flat, plan, self.alpha, False)
-            self._count_block(rounds)
+            self._count_block(rounds, plan)
             self._moments_dirty = True
             self.t += rounds
             remaining -= rounds
 
-    def _count_block(self, rounds: int) -> None:
-        """Per-block work accounting (amortised: never per round)."""
+    def _count_block(self, rounds: int, plan: BlockPlan) -> None:
+        """Per-block work and plan-memory accounting (never per round)."""
         METRICS.count("engine.replica_steps", rounds * self.num_active)
         METRICS.count("engine.rng_blocks")
         METRICS.count(f"engine.blocks.{self.kernel}")
+        METRICS.peak("engine.plan_peak_bytes", plan.nbytes)
 
     def run_until_phi(self, epsilon: float, max_steps: int) -> np.ndarray:
         """Per-replica ``T_eps``: step until every replica has ``phi <= eps``.
@@ -597,7 +599,7 @@ class BatchAveragingProcess(abc.ABC):
             rows = self._active_rows
             plan = self._plan_block(rounds)
             old_blk, new_blk = self._block_exec(self._flat, plan, self.alpha, True)
-            self._count_block(rounds)
+            self._count_block(rounds, plan)
             self.t += rounds
             self._rounds_since_resync += rounds
 

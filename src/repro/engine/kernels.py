@@ -20,13 +20,16 @@ advances a batch by *blocks of R rounds per Python call*:
     per-round inner loop shrinks to four NumPy dispatches — one fused
     gather, one multiply, one add, one scatter.
 ``"jit"``
-    Optional Numba backend: the same pre-drawn variates and precomputed
-    index blocks are consumed by one compiled loop over the whole block.
-    Falls back to ``"fused"`` without numba (and per-call for shapes the
-    compiled loop does not cover, currently ``k > 1``).
+    A C loop (``_blockloop.c``) that consumes the same pre-drawn
+    variates and precomputed index blocks in one call per block, so a
+    round costs no NumPy dispatch at all.  It is compiled on first use
+    with the system C compiler and loaded through ``ctypes`` (see
+    :func:`load_blockloop`).  It covers the packed path for every ``k``
+    and the lazy ``k = 1`` path; lazy ``k > 1`` runs the fused kernel
+    per call.  Without a compiler ``"jit"`` falls back to ``"fused"``.
 
-``kernel="auto"`` resolves to ``"jit"`` when numba imports and to
-``"fused"`` otherwise.
+``kernel="auto"`` resolves to ``"jit"`` when the compiled loop loads and
+to ``"fused"`` otherwise.
 
 Block contract
 --------------
@@ -70,6 +73,7 @@ across the two.
 
 from __future__ import annotations
 
+import os
 import warnings
 
 import numpy as np
@@ -79,32 +83,17 @@ from repro.obs.metrics import METRICS
 
 #: Valid ``kernel=`` names accepted across the engine, API and CLI.
 #:
-#: ``"auto"`` — ``"jit"`` when numba imports, else ``"fused"``;
+#: ``"auto"`` — ``"jit"`` when the compiled loop loads, else ``"fused"``;
 #: ``"numpy"`` — legacy per-round reference path (its own RNG stream);
 #: ``"fused"`` — pure-NumPy block kernel, always available;
-#: ``"jit"`` — numba block loop, bit-identical to ``"fused"`` (visible
-#: fused fallback without numba).
+#: ``"jit"`` — compiled C block loop, bit-identical to ``"fused"``
+#: (visible fused fallback without a C compiler).
 KERNEL_CHOICES = ("auto", "numpy", "fused", "jit")
 
 #: Default rounds per block: large enough to amortise the block plan to
 #: ~0.02 us/round, small enough that run_until_phi over-steps at most
 #: this many rounds past each replica's crossing (times stay exact).
 DEFAULT_BLOCK_ROUNDS = 256
-
-_NUMBA_STATE: dict = {}
-
-
-def numba_available() -> bool:
-    """Whether the optional numba JIT backend can be imported (cached)."""
-    if "ok" not in _NUMBA_STATE:
-        try:
-            import numba  # noqa: F401
-
-            _NUMBA_STATE["ok"] = True
-        except ImportError:
-            _NUMBA_STATE["ok"] = False
-    return _NUMBA_STATE["ok"]
-
 
 def validate_kernel(name: str) -> str:
     """Check ``name`` against :data:`KERNEL_CHOICES` (shared validator)."""
@@ -120,13 +109,14 @@ _FALLBACK_WARNED = False
 
 
 def _warn_fallback(name: str) -> None:
-    """One-time visible degrade of an explicit numba-kernel request."""
+    """One-time visible degrade of an explicit ``"jit"`` request."""
     global _FALLBACK_WARNED
     METRICS.count("engine.kernel_fallback")
     if not _FALLBACK_WARNED:
         _FALLBACK_WARNED = True
         warnings.warn(
-            f"kernel={name!r} requested but numba is not importable; "
+            f"kernel={name!r} requested but the compiled block loop is "
+            "unavailable (no C compiler, or its build failed); "
             "falling back to the fused NumPy kernel "
             "(this warning is emitted once per process)",
             RuntimeWarning,
@@ -137,17 +127,18 @@ def _warn_fallback(name: str) -> None:
 def resolve_kernel(name: str) -> str:
     """Resolve a requested kernel name to the effective one.
 
-    ``"auto"`` resolves to ``"jit"`` when numba imports and to
-    ``"fused"`` otherwise.  An explicit ``"jit"`` request degrades to
-    ``"fused"`` without numba — numba is an optional accelerator, never
-    a requirement — but *visibly*: a one-time ``RuntimeWarning`` plus
-    the ``engine.kernel_fallback`` counter, so provenance records never
+    ``"auto"`` resolves to ``"jit"`` when the compiled block loop loads
+    (building it on first use) and to ``"fused"`` otherwise.  An
+    explicit ``"jit"`` request degrades to ``"fused"`` without it — a C
+    compiler is an optional accelerator, never a requirement — but
+    *visibly*: a one-time ``RuntimeWarning`` plus the
+    ``engine.kernel_fallback`` counter, so provenance records never
     silently report a backend that did not run.
     """
     validate_kernel(name)
     if name in ("numpy", "fused"):
         return name
-    if numba_available():
+    if _blockloop() is not None:
         return "jit"
     if name == "jit":
         _warn_fallback(name)
@@ -196,6 +187,15 @@ class BlockPlan:
     @property
     def active(self) -> int:
         return self.write_idx.shape[1]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the plan's arrays (``write_idx`` is a view into
+        ``cat_idx`` on the packed path, so it is counted once)."""
+        arrays = [self.cat_idx, self.coef, self.gather_idx, self.weights, self.keep]
+        if self.cat_idx is None:
+            arrays.append(self.write_idx)
+        return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 
 
 def run_block_fused(
@@ -298,120 +298,170 @@ def run_block_fused(
 
 
 # ----------------------------------------------------------------------
-# Numba backend
+# Compiled block loop
 # ----------------------------------------------------------------------
-def _jit_functions():
-    """Compile (once) and return the numba block loops, or ``None``."""
-    if "fns" in _NUMBA_STATE:
-        return _NUMBA_STATE["fns"]
-    if not numba_available():
-        _NUMBA_STATE["fns"] = None
+_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_blockloop.c")
+
+#: -ffp-contract=off forbids fused multiply-adds, which would round once
+#: where NumPy rounds twice and break bit-identity with "fused".
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def load_blockloop(compiler=None, cache_dir=None):
+    """Build (once per source and compiler) and load the C block loops.
+
+    The shared library is named by the sha256 of the source, the compiler
+    command and the flags, and lives in a per-user cache directory
+    (``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``, mode 0700).  A
+    build compiles to a temporary name in that directory and publishes it
+    with ``os.replace``, so concurrent workers never load a half-written
+    file; later loads reuse the file without compiling.  ``compiler`` (an
+    argument list, default ``sysconfig``'s ``CC``) and ``cache_dir``
+    override the defaults.  Returns the ``ctypes`` library, or ``None``
+    when there is no compiler or the build or load fails.
+    """
+    import ctypes
+    import hashlib
+    import shlex
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    if compiler is None:
+        compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if cache_dir is None:
+        cache_dir = os.path.join(
+            os.environ.get("XDG_CACHE_HOME")
+            or os.path.join(os.path.expanduser("~"), ".cache"),
+            "repro",
+        )
+    command = [*compiler, *_CFLAGS]
+    try:
+        with open(_SOURCE, "rb") as fh:
+            source = fh.read()
+        digest = hashlib.sha256(
+            source + b"\0" + "\0".join(command).encode()
+        ).hexdigest()
+        os.makedirs(cache_dir, mode=0o700, exist_ok=True)
+        info = os.stat(cache_dir)
+        if info.st_uid != os.getuid() or info.st_mode & 0o022:
+            return None  # another user could plant a library here
+        path = os.path.join(cache_dir, f"blockloop-{digest}.so")
+        if not os.path.exists(path):
+            fd, tmp = tempfile.mkstemp(
+                prefix=".blockloop-", suffix=".so", dir=cache_dir
+            )
+            os.close(fd)
+            try:
+                subprocess.run(
+                    [*command, "-o", tmp, _SOURCE],
+                    check=True, capture_output=True, timeout=120,
+                )
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        library = ctypes.CDLL(path)
+        ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+        library.block_cat.argtypes = [ptr, i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr]
+        library.block_lazy.argtypes = [
+            ptr, i64, ptr, ptr, ptr, f64, f64, i64, i64, ptr, ptr, ptr,
+        ]
+    except (OSError, AttributeError, subprocess.SubprocessError):
         return None
-    import numba
+    return library
 
-    # The k=1/edge fast path consumes the packed ``[gather | write]``
-    # cat-index matrix directly (no per-block copies); record variants
-    # additionally store the written entries' old/new values for the
-    # chunked convergence detector.
 
-    @numba.njit(cache=False)
-    def block_cat(flat, cat_idx, alpha, old_blk, new_blk):
-        R, A = old_blk.shape
-        beta = 1.0 - alpha
-        for r in range(R):
-            for j in range(A):
-                wi = cat_idx[r, A + j]
-                old = flat[wi]
-                mean = flat[cat_idx[r, j]]
-                new = alpha * old + beta * mean
-                flat[wi] = new
-                old_blk[r, j] = old
-                new_blk[r, j] = new
+_UNLOADED = object()
+#: The loaded block-loop library, ``None`` when unavailable; built or
+#: loaded on the first ``resolve_kernel`` of ``"auto"`` or ``"jit"``.
+_LOOP = _UNLOADED
 
-    @numba.njit(cache=False)
-    def block_cat_norecord(flat, cat_idx, alpha):
-        R = cat_idx.shape[0]
-        A = cat_idx.shape[1] // 2
-        beta = 1.0 - alpha
-        for r in range(R):
-            for j in range(A):
-                wi = cat_idx[r, A + j]
-                flat[wi] = alpha * flat[wi] + beta * flat[cat_idx[r, j]]
 
-    @numba.njit(cache=False)
-    def block_lazy(flat, write_idx, gather_idx, keep, alpha, old_blk, new_blk):
-        R, A = write_idx.shape
-        beta = 1.0 - alpha
-        for r in range(R):
-            for j in range(A):
-                if not keep[r, j]:
-                    old_blk[r, j] = 0.0
-                    new_blk[r, j] = 0.0
-                    continue
-                wi = write_idx[r, j]
-                old = flat[wi]
-                mean = flat[gather_idx[r, j]]
-                new = alpha * old + beta * mean
-                flat[wi] = new
-                old_blk[r, j] = old
-                new_blk[r, j] = new
+def _blockloop():
+    global _LOOP
+    if _LOOP is _UNLOADED:
+        _LOOP = load_blockloop()
+    return _LOOP
 
-    @numba.njit(cache=False)
-    def block_lazy_norecord(flat, write_idx, gather_idx, keep, alpha):
-        R, A = write_idx.shape
-        beta = 1.0 - alpha
-        for r in range(R):
-            for j in range(A):
-                if keep[r, j]:
-                    wi = write_idx[r, j]
-                    flat[wi] = alpha * flat[wi] + beta * flat[gather_idx[r, j]]
 
-    _NUMBA_STATE["fns"] = {
-        "cat": block_cat,
-        "cat_norecord": block_cat_norecord,
-        "lazy": block_lazy,
-        "lazy_norecord": block_lazy_norecord,
-    }
-    return _NUMBA_STATE["fns"]
+def _c_array(array, dtype, shape) -> bool:
+    """Whether ``array`` can be handed to C as a flat ``dtype`` buffer."""
+    return (
+        isinstance(array, np.ndarray)
+        and array.dtype == dtype
+        and array.shape == shape
+        and array.flags.c_contiguous
+    )
 
 
 def run_block_jit(
     flat: np.ndarray, plan: BlockPlan, alpha: float, record: bool
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Execute one block with the numba kernel (fused fallback).
+    """Execute one block with the compiled C loop (fused fallback).
 
     Consumes the same precomputed plan — hence the same pre-drawn
     variates in the same order — as :func:`run_block_fused`, and
     performs the identical IEEE operations per entry, so trajectories
     are bit-identical across the two kernels at a fixed seed.  Shapes
-    without a compiled loop (``k > 1``) and missing-numba environments
-    fall back to the fused kernel per call.
+    without a compiled loop (lazy ``k > 1``, whose neighbour mean
+    follows NumPy's reduction order), plans whose arrays are not
+    C-contiguous of the expected dtype, and environments without the
+    library fall back to the fused kernel per call.
     """
-    fns = _jit_functions()
-    if fns is None or plan.k != 1:
+    loop = _blockloop()
+    R, A = plan.write_idx.shape
+    if loop is None or not (
+        _c_array(flat, np.float64, flat.shape) and flat.flags.writeable
+    ):
         return run_block_fused(flat, plan, alpha, record)
     if plan.cat_idx is not None:
-        if not record:
-            fns["cat_norecord"](flat, plan.cat_idx, alpha)
-            return None
-        R, A = plan.write_idx.shape
-        old_blk = np.empty((R, A))
-        new_blk = np.empty((R, A))
-        fns["cat"](flat, plan.cat_idx, alpha, old_blk, new_blk)
-        return old_blk, new_blk
-    # Lazy path: _pack_plan allocates these arrays C-contiguous.
-    if not record:
-        fns["lazy_norecord"](
-            flat, plan.write_idx, plan.gather_idx, plan.keep, alpha
+        width = (plan.k + 1) * A
+        arrays = (plan.cat_idx, plan.coef)
+        layout = ((np.int64, (R, width)), (np.float64, (width,)))
+    elif plan.k == 1 and plan.keep is not None:
+        # Column-sliced draws can leave these Fortran-ordered; the C
+        # loop reads contiguous copies (the plan itself is unchanged).
+        arrays = tuple(
+            np.ascontiguousarray(array)
+            for array in (plan.write_idx, plan.gather_idx, plan.keep)
         )
-        return None
-    R, A = plan.write_idx.shape
-    old_blk = np.empty((R, A))
-    new_blk = np.empty((R, A))
-    fns["lazy"](
-        flat, plan.write_idx, plan.gather_idx, plan.keep, alpha, old_blk, new_blk
+        layout = ((np.int64, (R, A)), (np.int64, (R, A)), (np.bool_, (R, A)))
+    else:
+        return run_block_fused(flat, plan, alpha, record)
+    if not all(
+        _c_array(array, dtype, shape)
+        for array, (dtype, shape) in zip(arrays, layout)
+    ):
+        return run_block_fused(flat, plan, alpha, record)
+    # Plain mode needs one row of scratch; record mode writes each
+    # round's new values straight into new_blk.
+    scratch = None if record else np.empty(A)
+    old_blk = np.empty((R, A)) if record else None
+    new_blk = np.empty((R, A)) if record else None
+    out = tuple(
+        None if array is None else array.ctypes.data
+        for array in (scratch, old_blk, new_blk)
     )
-    return old_blk, new_blk
+    pointers = [array.ctypes.data for array in arrays]
+    if plan.cat_idx is not None:
+        status = loop.block_cat(
+            flat.ctypes.data, flat.size, *pointers, R, A, plan.k, *out
+        )
+    else:
+        status = loop.block_lazy(
+            flat.ctypes.data, flat.size, *pointers, alpha, 1.0 - alpha, R, A,
+            *out,
+        )
+    if status:
+        indices = arrays[:1] if plan.cat_idx is not None else arrays[:2]
+        low = min(int(index.min()) for index in indices)
+        high = max(int(index.max()) for index in indices)
+        raise IndexError(
+            f"block plan index out of range for {flat.size} entries "
+            f"(min {low}, max {high})"
+        )
+    return (old_blk, new_blk) if record else None
 
 
 #: Effective kernel name -> block executor.

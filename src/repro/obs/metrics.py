@@ -38,7 +38,9 @@ Conventions
   recent shard's wall time; per-shard detail lives in spans).
 * **Peaks** hold the high-water mark: ``engine.state_peak_bytes`` — the
   estimated peak footprint of live ``(B, n)`` / ``(B, n, r)`` state,
-  the adaptive-governor input named in the ROADMAP.
+  the adaptive-governor input named in the ROADMAP — and
+  ``engine.plan_peak_bytes``, the largest block plan's index, weight
+  and coin arrays (``BlockPlan.nbytes``), set once per block.
 """
 
 from __future__ import annotations

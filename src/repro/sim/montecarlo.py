@@ -139,8 +139,8 @@ def sample_f_values(
     ``engine="batch"`` (default) vectorises the whole replica set;
     ``engine="loop"`` runs one process per replica.  ``kernel``,
     ``processes`` and ``cache_dir`` apply to the batch engine only: the
-    first selects the stepping kernel (fused multi-round blocks, the
-    optional numba JIT, or the legacy per-round path — see
+    first selects the stepping kernel (fused multi-round blocks, their
+    compiled C loop, or the legacy per-round path — see
     :mod:`repro.engine.kernels`), the second fans replica shards across
     worker processes, the third memoises finished sample arrays on disk
     (see :class:`repro.engine.cache.ResultCache`).

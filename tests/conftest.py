@@ -11,19 +11,20 @@ from repro.graphs.adjacency import Adjacency
 
 @pytest.fixture(scope="session", autouse=True)
 def _pre_arm_jit_fallback_warning():
-    """Keep the tier-1 suite warning-clean without numba.
+    """Keep the tier-1 suite warning-clean without a C compiler.
 
     ``resolve_kernel("jit")`` emits its once-per-process fallback
-    ``RuntimeWarning`` the first time numba is found missing — which,
-    under ``filterwarnings = error::RuntimeWarning``, would blow up
-    whichever unrelated test happens to request the jit kernel first.
+    ``RuntimeWarning`` the first time the compiled block loop is found
+    unavailable — which, under ``filterwarnings = error::RuntimeWarning``,
+    would blow up whichever unrelated test happens to request the jit
+    kernel first.
     Pre-arming the one-shot flag here makes the *dedicated* fallback
     regression tests (which reset the flag and capture the warning via
     ``pytest.warns``) the only place the warning fires.
     """
     from repro.engine import kernels
 
-    if not kernels.numba_available():
+    if kernels.resolve_kernel("auto") != "jit":
         kernels._FALLBACK_WARNED = True
     yield
 

@@ -23,8 +23,8 @@ from repro.engine import (
     DualSpec,
     RecordedSelections,
     ResultCache,
-    numba_available,
     run_duality_batch,
+    resolve_kernel,
     sample_coalescence_times,
 )
 from repro.exceptions import ConvergenceError, ParameterError
@@ -37,7 +37,7 @@ from repro.graphs.generators import (
 )
 from repro.rng import as_generator, spawn
 
-KERNELS = ["numpy", "fused"] + (["jit"] if numba_available() else [])
+KERNELS = ["numpy", "fused"] + (["jit"] if resolve_kernel("auto") == "jit" else [])
 
 
 @pytest.fixture(scope="module")

@@ -40,15 +40,15 @@ from repro.engine import (
     ResultCache,
     RewiringSchedule,
     build_schedule,
-    numba_available,
+    resolve_kernel,
     sample_t_eps_batch,
 )
 from repro.exceptions import ParameterError
 from repro.graphs.adjacency import Adjacency
 from repro.rng import as_generator
 
-needs_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not installed"
+needs_jit = pytest.mark.skipif(
+    resolve_kernel("auto") != "jit", reason="no C compiler for the jit loop"
 )
 
 
@@ -328,7 +328,7 @@ class TestDynamicFreeRunning:
         csr.run(400)
         np.testing.assert_array_equal(dense.values, csr.values)
 
-    @needs_numba
+    @needs_jit
     def test_jit_bit_identical_to_fused(self, snapshots12, values12):
         schedule = CyclicSchedule(snapshots12, 13)
         fused = BatchNodeModel(

@@ -27,10 +27,16 @@ from repro.engine import (
     sample_checkpoints_batch,
     sample_f_batch,
 )
-from repro.engine.driver import AVERAGE, PHI, WEIGHTED_AVERAGE
+from repro.engine.driver import (
+    AVERAGE,
+    DISCREPANCY_SAMPLE_EVERY,
+    PHI,
+    WEIGHTED_AVERAGE,
+)
 from repro.exceptions import ConvergenceError, ParameterError
 from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import cycle_graph, lollipop_graph, random_regular_graph
+from repro.obs import Tracer, activate
 from repro.obs.metrics import METRICS
 from repro.theory.exact import exact_variance_trajectory
 from repro.sim.montecarlo import sample_f_values, sample_t_eps
@@ -392,6 +398,42 @@ class TestWitnessHarvest:
         assert first == counters()
         rows, scanned = first
         assert 64 <= scanned < rows
+
+    def test_tracing_samples_the_spread_every_16th_check(self, regular36, values36):
+        """A traced run returns the untraced result and counters; the
+        full-scan spread sample lands on checks 0, 16, 32, ... while the
+        active-replica count is sampled at every check."""
+
+        def run(tracer=None):
+            baseline = METRICS.snapshot()
+            batch = BatchNodeModel(regular36, values36, 0.5, replicas=32, seed=6)
+            if tracer is None:
+                result = run_to_consensus_batch(batch, discrepancy_tol=1e-8)
+            else:
+                with activate(tracer):
+                    result = run_to_consensus_batch(batch, discrepancy_tol=1e-8)
+            return result, METRICS.delta(baseline)["counters"]
+
+        plain, plain_counters = run()
+        tracer = Tracer()
+        traced, traced_counters = run(tracer)
+        _assert_same_consensus(
+            traced,
+            (plain.t, plain.value, plain.residual_discrepancy, plain.phi),
+        )
+        assert traced_counters == plain_counters
+        active = tracer.streams.series("engine.active_replicas")
+        spread = tracer.streams.series("engine.max_discrepancy")
+        checks = len(active)
+        assert checks > 2 * DISCREPANCY_SAMPLE_EVERY
+        # A check that froze the last replica has no row to sample.
+        sampled = [
+            i for i in range(checks)
+            if i % DISCREPANCY_SAMPLE_EVERY == 0 and active.values[i] > 0
+        ]
+        assert len(sampled) >= 3
+        assert spread.ts == [active.ts[i] for i in sampled]
+        assert spread.ts == [active.ts[i] for i in sampled]
 
 
 class TestWitnessHarvestProperty:

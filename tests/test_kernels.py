@@ -16,6 +16,11 @@ Three layers of guarantees, mirroring DESIGN.md section 6:
 """
 
 import json
+import os
+import stat
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -26,22 +31,23 @@ from repro.core.node_model import NodeModel
 from repro.engine import (
     BatchEdgeModel,
     BatchNodeModel,
+    CyclicSchedule,
     EngineSpec,
     KERNEL_CHOICES,
     ResultCache,
-    numba_available,
     resolve_kernel,
     sample_f_batch,
 )
-from repro.engine.kernels import run_block_fused
+from repro.engine import kernels as kernels_mod
+from repro.engine.kernels import run_block_fused, run_block_jit
 from repro.exceptions import ParameterError
 from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import complete_graph, random_regular_graph
 from repro.sim.montecarlo import sample_f_values, sample_t_eps
 
-needs_numba = pytest.mark.skipif(
-    not numba_available(), reason="numba not installed"
-)
+#: Whether the compiled block loop builds and loads on this machine.
+HAS_JIT = resolve_kernel("auto") == "jit"
+needs_jit = pytest.mark.skipif(not HAS_JIT, reason="no C compiler for the jit loop")
 
 
 @pytest.fixture
@@ -85,10 +91,10 @@ class TestKernelResolution:
     def test_numpy_is_identity(self):
         assert resolve_kernel("numpy") == "numpy"
 
-    def test_auto_and_jit_follow_numba(self):
-        expected = "jit" if numba_available() else "fused"
+    def test_auto_and_jit_follow_the_compiled_loop(self):
+        expected = "jit" if HAS_JIT else "fused"
         assert resolve_kernel("auto") == expected
-        # Without numba this would fire the one-shot fallback warning,
+        # Without a compiler this would fire the one-shot fallback warning,
         # but conftest pre-arms the flag so the suite stays clean under
         # filterwarnings = error::RuntimeWarning.
         assert resolve_kernel("jit") == expected
@@ -100,9 +106,9 @@ class TestKernelResolution:
         error by pytest.ini)."""
         from repro.engine import kernels as kernels_mod
 
-        monkeypatch.setitem(kernels_mod._NUMBA_STATE, "ok", False)
+        monkeypatch.setattr(kernels_mod, "_LOOP", None)
         monkeypatch.setattr(kernels_mod, "_FALLBACK_WARNED", False)
-        with pytest.warns(RuntimeWarning, match="numba is not importable"):
+        with pytest.warns(RuntimeWarning, match="compiled block loop"):
             assert resolve_kernel("jit") == "fused"
         assert kernels_mod._FALLBACK_WARNED  # re-armed: once per process
 
@@ -117,7 +123,7 @@ class TestKernelResolution:
             regular64, values64, alpha=0.5, replicas=2, kernel="jit"
         )
         assert batch.kernel_requested == "jit"
-        assert batch.kernel == ("jit" if numba_available() else "fused")
+        assert batch.kernel == ("jit" if HAS_JIT else "fused")
 
 
 class TestScheduleReplayAcrossKernels:
@@ -237,7 +243,7 @@ class TestBlockRangeCheck:
         np.testing.assert_array_equal(flat, before)
 
 
-@needs_numba
+@needs_jit
 class TestJitBitEquivalence:
     """jit consumes the same pre-drawn variates: bit-identical to fused."""
 
@@ -271,6 +277,192 @@ class TestJitBitEquivalence:
             fused.run_until_phi(1e-4, 500_000),
             jit.run_until_phi(1e-4, 500_000),
         )
+
+
+#: Node-model shapes (k, lazy) of the executor tests: k = 8 on degree
+#: >= 10 graphs takes the full-key subset path, lazy k = 1 the compiled
+#: lazy loop; lazy k = 2 is the one shape jit hands to fused per call.
+JIT_SHAPES = [(1, False), (2, False), (3, False), (4, False), (8, False),
+              (1, True), (2, True)]
+
+
+def _dense_graph(kind):
+    """Degree >= 8 on 30 nodes, so every shape in JIT_SHAPES is valid."""
+    import networkx as nx
+
+    if kind == "regular":
+        return random_regular_graph(30, 10, seed=4)
+    if kind == "irregular":
+        graph = nx.connected_watts_strogatz_graph(30, 12, 0.3, seed=2)
+        assert min(d for _, d in graph.degree) >= 8
+        return graph
+    return CyclicSchedule(
+        [random_regular_graph(30, 10, seed=s) for s in (4, 5)], 7
+    )
+
+
+@needs_jit
+class TestJitExecutorBitIdentity:
+    """The C loop reproduces run_block_fused on one plan, bit for bit."""
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("graph", ["regular", "irregular", "schedule"])
+    @pytest.mark.parametrize("k, lazy", JIT_SHAPES)
+    def test_node_plan(self, monkeypatch, k, lazy, graph, frozen, record):
+        values = np.random.default_rng(3).normal(size=30)
+        batch = BatchNodeModel(
+            _dense_graph(graph), values, 0.5, k=k, replicas=6, seed=7,
+            lazy=lazy, kernel="fused",
+        )
+        if k == 8:
+            assert batch._sampler.uses_subset_keys
+        batch.run(12)  # past the schedule's first switch
+        if frozen:
+            batch.freeze([1, 4])
+        self._compare(monkeypatch, batch, compiled=not (lazy and k > 1),
+                      record=record)
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_edge_plan(self, monkeypatch, lazy, record):
+        values = np.random.default_rng(3).normal(size=30)
+        batch = BatchEdgeModel(
+            _dense_graph("irregular"), values, 0.5, replicas=6, seed=7,
+            lazy=lazy, kernel="fused",
+        )
+        batch.freeze([2])
+        self._compare(monkeypatch, batch, compiled=True, record=record)
+
+    @staticmethod
+    def _compare(monkeypatch, batch, compiled, record):
+        batch._sync_snapshot()
+        plan = batch._plan_block(batch._block_size(40))
+        fused_flat = batch._flat.copy()
+        jit_flat = batch._flat.copy()
+        expected = run_block_fused(fused_flat, plan, batch.alpha, record)
+        if compiled:
+            def fused_called(*args):
+                raise AssertionError("jit fell back to the fused kernel")
+
+            monkeypatch.setattr(kernels_mod, "run_block_fused", fused_called)
+        actual = run_block_jit(jit_flat, plan, batch.alpha, record)
+        assert not np.array_equal(fused_flat, batch._flat)
+        np.testing.assert_array_equal(jit_flat, fused_flat)
+        if record:
+            for got, want in zip(actual, expected):
+                np.testing.assert_array_equal(got, want)
+        else:
+            assert actual is None and expected is None
+
+    @pytest.mark.parametrize("k, lazy", JIT_SHAPES)
+    def test_runs_and_hitting_times(self, k, lazy):
+        """Plain blocks (run), then record blocks feeding detection,
+        backdating and the rewind of crossed replicas (run_until_phi)."""
+        values = np.random.default_rng(3).normal(size=30)
+        fused, jit = (
+            BatchNodeModel(
+                _dense_graph("irregular"), values, 0.5, k=k, replicas=6,
+                seed=7, lazy=lazy, kernel=kernel,
+            )
+            for kernel in ("fused", "jit")
+        )
+        assert jit.kernel == "jit"
+        for batch in (fused, jit):
+            batch.run(300)
+        np.testing.assert_array_equal(
+            fused.run_until_phi(1e-8, 500_000), jit.run_until_phi(1e-8, 500_000)
+        )
+        np.testing.assert_array_equal(fused.values, jit.values)
+
+
+class TestBlockLoopLoader:
+    """Building and loading the C loop fails safe and caches."""
+
+    def test_no_compiler_means_fused_without_a_warning(self, monkeypatch, tmp_path):
+        cache = tmp_path / "cache"
+        loop = kernels_mod.load_blockloop(
+            compiler=[str(tmp_path / "no-such-cc")], cache_dir=str(cache)
+        )
+        assert loop is None
+        assert list(cache.iterdir()) == []
+        monkeypatch.setattr(kernels_mod, "_LOOP", loop)
+        monkeypatch.setattr(kernels_mod, "_FALLBACK_WARNED", False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_kernel("auto") == "fused"
+            batch = BatchNodeModel(
+                random_regular_graph(16, 4, seed=0), np.arange(16.0), 0.5,
+                replicas=2,
+            )
+        assert batch.kernel == "fused"
+
+    def test_failed_build_publishes_nothing(self, tmp_path):
+        failing = [sys.executable, "-c", "import sys; sys.exit(1)"]
+        cache = tmp_path / "cache"
+        assert kernels_mod.load_blockloop(failing, str(cache)) is None
+        assert list(cache.iterdir()) == []
+
+    def test_shared_cache_directory_is_refused(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        cache.chmod(0o777)
+        assert kernels_mod.load_blockloop(cache_dir=str(cache)) is None
+
+    @needs_jit
+    def test_second_load_reuses_the_cached_library(self, monkeypatch, tmp_path):
+        cache = tmp_path / "cache"
+        assert kernels_mod.load_blockloop(cache_dir=str(cache)) is not None
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+        (library,) = cache.iterdir()
+        assert library.name.startswith("blockloop-")
+        built = library.stat().st_mtime_ns
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("the cached library was rebuilt")
+
+        monkeypatch.setattr(subprocess, "run", no_build)
+        assert kernels_mod.load_blockloop(cache_dir=str(cache)) is not None
+        assert list(cache.iterdir()) == [library]
+        assert library.stat().st_mtime_ns == built
+
+    def test_import_builds_nothing(self, tmp_path):
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        code = (
+            "import repro.api, repro.engine.kernels as k; "
+            "assert k._LOOP is k._UNLOADED"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        assert list(tmp_path.iterdir()) == []
+
+    @needs_jit
+    @pytest.mark.parametrize("k, lazy", [(1, False), (3, False), (1, True)])
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("bad", [-1, "past_end"])
+    @pytest.mark.parametrize("column", ["neighbour", "write"])
+    def test_bad_index_raises_before_any_write(
+        self, regular64, values64, k, lazy, record, bad, column
+    ):
+        batch = BatchNodeModel(
+            regular64, values64, alpha=0.5, k=k, replicas=4, seed=5,
+            lazy=lazy, kernel="jit",
+        )
+        batch.run(3)
+        plan = batch._plan_block(8)
+        flat = batch.values.reshape(-1)
+        before = flat.copy()
+        index = flat.size if bad == "past_end" else bad
+        # Corrupt the last round only: the whole block must be refused.
+        if lazy:
+            target = plan.write_idx if column == "write" else plan.gather_idx
+            target[-1, 0] = index
+        else:
+            entry = 0 if column == "neighbour" else plan.cat_idx.shape[1] - 1
+            plan.cat_idx[-1, entry] = index
+        with pytest.raises(IndexError):
+            run_block_jit(flat, plan, batch.alpha, record)
+        np.testing.assert_array_equal(flat, before)
 
 
 class TestChunkedDetectionBackdating:
@@ -628,7 +820,7 @@ class TestRunSpecKernel:
 
         small = {"replicas": 4, "n": 16}
         auto = execute(RunSpec("EXP-T222", overrides=small)).provenance
-        assert auto.kernel == ("jit" if numba_available() else "fused")
+        assert auto.kernel == ("jit" if HAS_JIT else "fused")
         assert auto.kernel_reason == "heuristic"
         named = execute(
             RunSpec("EXP-T222", kernel="fused", overrides=small)

@@ -367,9 +367,20 @@ class TestEngineTracing:
 # Visible jit fallback
 # ----------------------------------------------------------------------
 class TestKernelFallback:
-    def test_explicit_jit_without_numba_warns_once_and_counts(self, monkeypatch):
-        monkeypatch.setitem(kernels_mod._NUMBA_STATE, "ok", False)
+    @pytest.fixture
+    def no_compiler(self, monkeypatch, tmp_path):
+        """The loop as loaded without a compiler and with an empty cache."""
+        loop = kernels_mod.load_blockloop(
+            compiler=[str(tmp_path / "no-such-cc")],
+            cache_dir=str(tmp_path / "cache"),
+        )
+        assert loop is None
+        monkeypatch.setattr(kernels_mod, "_LOOP", loop)
         monkeypatch.setattr(kernels_mod, "_FALLBACK_WARNED", False)
+
+    def test_explicit_jit_without_compiler_warns_once_and_counts(
+        self, no_compiler
+    ):
         before = METRICS.value("engine.kernel_fallback")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -379,12 +390,10 @@ class TestKernelFallback:
             w for w in caught if issubclass(w.category, RuntimeWarning)
         ]
         assert len(raised) == 1  # once per process, not per resolve
-        assert "numba" in str(raised[0].message)
+        assert "compiled block loop" in str(raised[0].message)
         assert METRICS.value("engine.kernel_fallback") == before + 2
 
-    def test_auto_degrades_silently(self, monkeypatch):
-        monkeypatch.setitem(kernels_mod._NUMBA_STATE, "ok", False)
-        monkeypatch.setattr(kernels_mod, "_FALLBACK_WARNED", False)
+    def test_auto_degrades_silently(self, no_compiler):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert kernels_mod.resolve_kernel("auto") == "fused"
@@ -433,6 +442,30 @@ class TestApiTelemetry:
         solo = peak(t222)
         assert peak(RunSpec("EXP-F1", trace=True)) > solo
         assert peak(t222) == solo
+
+    def test_plan_peak_counts_the_block_plan_arrays(self):
+        """Node k = 1 on a regular graph: an (R, 2A) int64 cat_idx plus a
+        (2A,) float64 coef, and a scalar pi weight."""
+        baseline = METRICS.snapshot()
+        batch = BatchNodeModel(
+            nx.cycle_graph(12), np.arange(12.0), 0.5, replicas=8, seed=1,
+            kernel="fused",
+        )
+        batch.run(40)
+        peaks = METRICS.delta(baseline)["peaks"]
+        assert peaks["engine.plan_peak_bytes"] == 40 * 16 * 8 + 16 * 8
+
+    def test_plan_peak_does_not_leak_between_runs(self):
+        def peak(spec):
+            return execute(spec).telemetry["peaks"]["engine.plan_peak_bytes"]
+
+        f1 = RunSpec("EXP-F1", trace=True)
+        solo = peak(f1)
+        assert peak(RunSpec(
+            "EXP-T222", overrides={"n": 16, "replicas": 8, "tol": 1e-3},
+            trace=True,
+        )) > solo
+        assert peak(f1) == solo
 
     def test_telemetry_survives_the_artifact_store(self, tmp_path):
         store = ArtifactStore(tmp_path)
