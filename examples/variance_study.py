@@ -6,17 +6,25 @@ convergence value does not depend on the graph structure — only on
 four regular topologies carrying the *same* initial values and prints the
 estimates against the Proposition 5.8 interval.
 
-The replicas run through the vectorized batch engine (``repro.engine``):
-``sample_f_values`` simulates all of them as one ``(B, n)`` matrix, so
-cranking REPLICAS up is cheap.  Swap ``engine="loop"`` in to feel the
-difference — the legacy path runs one process per replica.
+Each configuration is one ``EngineSpec`` (model kind, graph, initial
+values, alpha, k).  ``sample_f_values`` hands it to the vectorized batch
+engine (``repro.engine``), which simulates all replicas as one
+``(B, n)`` matrix, so cranking REPLICAS up is cheap.  Swap
+``engine="loop"`` in to feel the difference — the scalar oracle runs
+one process per replica from the same spec.
 
 Run:  python examples/variance_study.py       (~seconds)
 """
 
 import numpy as np
 
-from repro import NodeModel, estimate_moments, sample_f_values, variance_bounds
+from repro import (
+    Adjacency,
+    EngineSpec,
+    estimate_moments,
+    sample_f_values,
+    variance_bounds,
+)
 from repro.core.initial import center_simple, rademacher_values
 from repro.graphs.generators import (
     complete_graph,
@@ -47,13 +55,10 @@ def main() -> None:
         ("complete (d=35)", complete_graph(N)),
     ]:
         bounds = variance_bounds(graph, values, alpha=ALPHA, k=1)
-
-        def make(rng, graph=graph):
-            return NodeModel(graph, values, alpha=ALPHA, k=1, seed=rng)
-
+        spec = EngineSpec("node", Adjacency.from_graph(graph), values, ALPHA, k=1)
         # engine="batch" is the default; spelled out here for the demo.
         sample = sample_f_values(
-            make, REPLICAS, seed=3, discrepancy_tol=1e-6, engine="batch"
+            spec, REPLICAS, seed=3, discrepancy_tol=1e-6, engine="batch"
         )
         estimate = estimate_moments(sample, seed=3)
         lo, hi = estimate.variance_ci

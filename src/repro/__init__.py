@@ -24,7 +24,15 @@ simulates all of them simultaneously as one ``(B, n)`` matrix::
     result = run_to_consensus_batch(batch, discrepancy_tol=1e-8)
     print(result.value.var())   # Var(F) from 1000 replicas at array speed
 
-(``sample_f_values`` below routes through this engine by default.)
+``sample_f_values`` below takes the configuration as an ``EngineSpec``
+and runs this engine by default; ``engine="loop"`` runs one scalar
+process per replica from the same spec (the oracle)::
+
+    from repro import Adjacency, EngineSpec, sample_f_values
+
+    spec = EngineSpec("node", Adjacency.from_graph(graph), values,
+                      alpha=0.5, k=2)
+    sample = sample_f_values(spec, 1000, seed=7)
 
 Subpackages
 -----------

@@ -1,13 +1,8 @@
-"""Analysis helpers: scaling fits, decay fits, bound-ratio diagnostics."""
+"""Analysis helpers: scaling fits and bound-ratio diagnostics."""
 
-from repro.analysis.decay import DecayFit, DecaySummary, decay_summary, fit_decay_rate
 from repro.analysis.fits import loglog_slope, ratio_statistics
 
 __all__ = [
-    "DecayFit",
-    "DecaySummary",
-    "decay_summary",
-    "fit_decay_rate",
     "loglog_slope",
     "ratio_statistics",
 ]

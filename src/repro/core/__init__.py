@@ -10,9 +10,11 @@
 * :mod:`repro.core.initial` — initial-value workloads, including the
   worst-case eigenvector-aligned states of Proposition B.2,
 * :mod:`repro.core.convergence` — ``eps``-convergence detection and
-  ``T_eps`` measurement,
-* :mod:`repro.core.runner` — trajectory recording and convergence-value
-  sampling for the Monte-Carlo harness.
+  ``T_eps`` measurement.
+
+These scalar processes are the oracles of the batch engine
+(:mod:`repro.engine`): ``engine="loop"`` in :mod:`repro.sim.montecarlo`
+runs one of them per replica.
 """
 
 from repro.core.base import AveragingProcess, StepRecord
@@ -46,7 +48,6 @@ from repro.core.potentials import (
     phi_pi,
     phi_uniform,
 )
-from repro.core.runner import Trajectory, record_trajectory, sample_convergence_value
 from repro.core.schedule import Schedule, SelectionStep
 
 __all__ = [
@@ -60,7 +61,6 @@ __all__ = [
     "Schedule",
     "SelectionStep",
     "StepRecord",
-    "Trajectory",
     "center_degree_weighted",
     "center_simple",
     "discrepancy",
@@ -75,9 +75,7 @@ __all__ = [
     "phi_pi",
     "phi_uniform",
     "rademacher_values",
-    "record_trajectory",
     "run_to_consensus",
-    "sample_convergence_value",
     "second_eigenvector_aligned",
     "steps_to_time",
     "time_to_steps",

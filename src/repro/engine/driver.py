@@ -129,38 +129,6 @@ class EngineSpec:
     def __hash__(self) -> int:
         return hash((self.cache_token(), self.backend, self.kernel))
 
-    @classmethod
-    def from_process(cls, process) -> "EngineSpec":
-        """Derive a spec from a scalar NodeModel / EdgeModel instance.
-
-        Exact types only: a subclass may override the selection law, so
-        it cannot be assumed batchable and raises like any other foreign
-        process (callers fall back to the loop engine).
-        """
-        from repro.core.edge_model import EdgeModel
-        from repro.core.node_model import NodeModel
-
-        if type(process) is NodeModel:
-            return cls(
-                kind="node",
-                adjacency=process.adjacency,
-                initial_values=process._initial.copy(),
-                alpha=process.alpha,
-                k=process.k,
-                lazy=process.lazy,
-            )
-        if type(process) is EdgeModel:
-            return cls(
-                kind="edge",
-                adjacency=process.adjacency,
-                initial_values=process._initial.copy(),
-                alpha=process.alpha,
-                lazy=process.lazy,
-            )
-        raise ParameterError(
-            f"cannot derive an EngineSpec from {type(process).__name__}"
-        )
-
     def build(self, replicas: int, seed: SeedLike = None) -> BatchAveragingProcess:
         """Instantiate the batch process for ``replicas`` replicas."""
         graph = (

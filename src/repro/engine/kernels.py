@@ -420,12 +420,7 @@ def run_block_jit(
         arrays = (plan.cat_idx, plan.coef)
         layout = ((np.int64, (R, width)), (np.float64, (width,)))
     elif plan.k == 1 and plan.keep is not None:
-        # Column-sliced draws can leave these Fortran-ordered; the C
-        # loop reads contiguous copies (the plan itself is unchanged).
-        arrays = tuple(
-            np.ascontiguousarray(array)
-            for array in (plan.write_idx, plan.gather_idx, plan.keep)
-        )
+        arrays = (plan.write_idx, plan.gather_idx, plan.keep)
         layout = ((np.int64, (R, A)), (np.int64, (R, A)), (np.bool_, (R, A)))
     else:
         return run_block_fused(flat, plan, alpha, record)

@@ -63,9 +63,9 @@ def draw_node_block(
     ``k <= 2`` single-uniform decodes, or one ``(R, A, k)`` array for
     the ``k > 2`` subset sampler — and ``keep`` the lazy coin mask (or
     ``None``).  The randomness is drawn **once, C-order, for the full
-    batch** (frozen replicas' columns are discarded), exactly per the
-    kernel layer's block contract, so this function *is* the primal
-    engine's selection stream.
+    batch** (frozen replicas' columns are discarded; the kept ones come
+    back C-ordered), exactly per the kernel layer's block contract, so
+    this function *is* the primal engine's selection stream.
     """
     full = rows.size == replicas
     k = sampler.k
@@ -78,7 +78,7 @@ def draw_node_block(
         # pairs (k = 2).
         u = rng.random((block_rounds, replicas))
         if not full:
-            u = u[:, rows]
+            u = u.take(rows, axis=1)
         keep = None
         if lazy:
             keep, u = split_lazy(u)
@@ -122,9 +122,9 @@ def draw_node_block(
     nodes = (u * n).astype(np.int64)
     picked = sampler.pick_subsets(nodes, keys, rng)
     if not full:
-        nodes = nodes[:, rows]
-        picked = picked[:, rows, :]
-        keep = None if keep is None else keep[:, rows]
+        nodes = nodes.take(rows, axis=1)
+        picked = picked.take(rows, axis=1)
+        keep = None if keep is None else keep.take(rows, axis=1)
     return nodes, picked, keep
 
 
@@ -145,7 +145,7 @@ def draw_edge_block(
     """
     u = rng.random((block_rounds, replicas))
     if rows.size != replicas:
-        u = u[:, rows]
+        u = u.take(rows, axis=1)
     keep = None
     if lazy:
         keep, u = split_lazy(u)

@@ -27,8 +27,9 @@ from repro.api import (
     kernel_param,
 )
 from repro.core.initial import center_simple, rademacher_values
-from repro.core.node_model import NodeModel
 from repro.core.potentials import phi_pi
+from repro.engine.driver import EngineSpec
+from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import random_regular_graph
 from repro.graphs.spectral import second_walk_eigenpair, stationary_distribution
 from repro.sim.montecarlo import estimate_moments, sample_f_values, sample_t_eps
@@ -75,6 +76,7 @@ def run(
     initial = center_simple(rademacher_values(n, seed=seed))
     lambda2, _ = second_walk_eigenpair(graph)
     phi0 = phi_pi(stationary_distribution(graph), initial)
+    adjacency = Adjacency.from_graph(graph)
 
     table = ResultTable(
         title="Ablation: self-weight alpha — speed vs accuracy trade-off",
@@ -87,17 +89,14 @@ def run(
         ],
     )
     for alpha in alphas:
-
-        def make(rng, alpha=alpha):
-            return NodeModel(graph, initial, alpha=alpha, k=1, seed=rng)
-
+        spec = EngineSpec("node", adjacency, initial, float(alpha), kernel=kernel)
         times = sample_t_eps(
-            make, EPSILON, time_replicas, seed=seed + 1, max_steps=200_000_000,
-            engine=engine, kernel=kernel,
+            spec, EPSILON, time_replicas, seed=seed + 1, max_steps=200_000_000,
+            engine=engine,
         )
         f_sample = sample_f_values(
-            make, var_replicas, seed=seed + 2, discrepancy_tol=tol,
-            max_steps=500_000_000, engine=engine, kernel=kernel,
+            spec, var_replicas, seed=seed + 2, discrepancy_tol=tol,
+            max_steps=500_000_000, engine=engine,
         )
         estimate = estimate_moments(f_sample, seed=seed)
         bounds = variance_bounds(graph, initial, alpha=alpha, k=1)

@@ -19,8 +19,9 @@ from repro.api import (
     experiment,
     kernel_param,
 )
-from repro.core.edge_model import EdgeModel
 from repro.core.initial import center_simple, linear_ramp
+from repro.engine.driver import EngineSpec
+from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import (
     barbell_graph,
     complete_graph,
@@ -79,13 +80,13 @@ def run(
             lambda2_l, _ = second_laplacian_eigenpair(graph)
             norm_sq = float(np.sum(initial**2))
             bound = edge_model_upper_bound(nn, m, lambda2_l, norm_sq, EPSILON)
-
-            def make(rng, graph=graph, initial=initial):
-                return EdgeModel(graph, initial, alpha=ALPHA, seed=rng)
-
+            spec = EngineSpec(
+                "edge", Adjacency.from_graph(graph), initial, ALPHA,
+                kernel=kernel,
+            )
             times = sample_t_eps(
-                make, EPSILON, replicas, seed=seed + n, max_steps=500_000_000,
-                engine=engine, kernel=kernel,
+                spec, EPSILON, replicas, seed=seed + n, max_steps=500_000_000,
+                engine=engine,
             )
             measured = float(times.mean())
             table.add_row(family, nn, m, lambda2_l, measured, bound, measured / bound)

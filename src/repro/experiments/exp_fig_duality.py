@@ -140,8 +140,8 @@ def _engine_duality_table(
             "on the reversed recorded stream"
         ),
         columns=[
-            "case", "kind", "n", "B", "steps", "engine", "kernel",
-            "max_error", "exact",
+            "case", "kind", "n", "B", "steps", "engine", "max_error",
+            "exact",
         ],
     )
     for label, graph, kind, k, alpha, lazy in cases:
@@ -161,16 +161,14 @@ def _engine_duality_table(
                 kernel=kernel,
             )
             error = report.max_error
-            used = report.kernel
         else:
             error = _loop_duality_error(
                 adjacency, initial, alpha, k, kind, lazy, steps, replicas,
                 seed,
             )
-            used = "-"
         table.add_row(
-            label, kind, adjacency.n, replicas, steps, engine, used,
-            error, error <= _ATOL,
+            label, kind, adjacency.n, replicas, steps, engine, error,
+            error <= _ATOL,
         )
     table.add_note(
         "every replica runs its own selection sequence; the identity is "

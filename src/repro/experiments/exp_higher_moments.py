@@ -25,7 +25,8 @@ from repro.core.initial import (
     indicator_values,
     rademacher_values,
 )
-from repro.core.node_model import NodeModel
+from repro.engine.driver import EngineSpec
+from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import complete_graph, cycle_graph, random_regular_graph
 from repro.sim.montecarlo import estimate_moments, sample_f_values
 from repro.sim.results import ResultTable
@@ -70,14 +71,12 @@ def run(
         ("random_regular(d=4)", random_regular_graph(n, 4, seed=seed)),
         ("complete", complete_graph(n)),
     ]:
+        adjacency = Adjacency.from_graph(graph)
         for iname, initial in initial_families:
-
-            def make(rng, graph=graph, initial=initial):
-                return NodeModel(graph, initial, alpha=ALPHA, k=1, seed=rng)
-
+            spec = EngineSpec("node", adjacency, initial, ALPHA, kernel=kernel)
             sample = sample_f_values(
-                make, replicas, seed=seed, discrepancy_tol=tol,
-                max_steps=500_000_000, engine=engine, kernel=kernel,
+                spec, replicas, seed=seed, discrepancy_tol=tol,
+                max_steps=500_000_000, engine=engine,
             )
             estimate = estimate_moments(sample, seed=seed)
             table.add_row(

@@ -20,8 +20,9 @@ from repro.api import (
     kernel_param,
 )
 from repro.core.initial import center_simple, linear_ramp
-from repro.core.node_model import NodeModel
 from repro.core.potentials import phi_pi
+from repro.engine.driver import EngineSpec
+from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import random_regular_graph
 from repro.graphs.spectral import second_walk_eigenpair, stationary_distribution
 from repro.sim.montecarlo import sample_t_eps
@@ -62,6 +63,7 @@ def run(
     initial = center_simple(linear_ramp(n, 0.0, 1.0))
     lambda2, _ = second_walk_eigenpair(graph)
     phi0 = phi_pi(stationary_distribution(graph), initial)
+    adjacency = Adjacency.from_graph(graph)
 
     table = ResultTable(
         title="Theorem 2.2(1) detail: T_eps nearly independent of k",
@@ -69,13 +71,10 @@ def run(
     )
     baseline = None
     for k in ks:
-
-        def make(rng, k=k):
-            return NodeModel(graph, initial, alpha=ALPHA, k=k, seed=rng)
-
+        spec = EngineSpec("node", adjacency, initial, ALPHA, k, kernel=kernel)
         times = sample_t_eps(
-            make, EPSILON, replicas, seed=seed + k, max_steps=100_000_000,
-            engine=engine, kernel=kernel,
+            spec, EPSILON, replicas, seed=seed + k, max_steps=100_000_000,
+            engine=engine,
         )
         measured = float(times.mean())
         predicted = predicted_t_eps_node(n, lambda2, ALPHA, k, phi0, EPSILON)

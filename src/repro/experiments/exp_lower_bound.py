@@ -18,9 +18,9 @@ from repro.api import (
     experiment,
     kernel_param,
 )
-from repro.core.edge_model import EdgeModel
 from repro.core.initial import fiedler_aligned, second_eigenvector_aligned
-from repro.core.node_model import NodeModel
+from repro.engine.driver import EngineSpec
+from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import cycle_graph, random_regular_graph
 from repro.graphs.spectral import second_laplacian_eigenpair, second_walk_eigenpair
 from repro.sim.montecarlo import sample_t_eps
@@ -65,18 +65,16 @@ def run(
             ("cycle", cycle_graph(n)),
             ("random_regular(d=4)", random_regular_graph(n, 4, seed=seed + n)),
         ]:
+            adjacency = Adjacency.from_graph(graph)
             # NodeModel with xi(0) = n f_2(P).
             initial = second_eigenvector_aligned(graph)
             lambda2, _ = second_walk_eigenpair(graph)
             norm_sq = float(np.sum(initial**2))
             bound = node_model_lower_bound(n, lambda2, norm_sq, EPSILON, ALPHA)
-
-            def make_node(rng, graph=graph, initial=initial):
-                return NodeModel(graph, initial, alpha=ALPHA, k=1, seed=rng)
-
             times = sample_t_eps(
-                make_node, EPSILON, replicas, seed=seed + n,
-                max_steps=500_000_000, engine=engine, kernel=kernel,
+                EngineSpec("node", adjacency, initial, ALPHA, kernel=kernel),
+                EPSILON, replicas, seed=seed + n, max_steps=500_000_000,
+                engine=engine,
             )
             table.add_row("node", name, n, float(times.mean()), bound,
                           float(times.mean()) / bound)
@@ -89,13 +87,10 @@ def run(
             bound_e = edge_model_lower_bound(
                 n, m, lambda2_l, norm_sq_e, EPSILON, ALPHA
             )
-
-            def make_edge(rng, graph=graph, initial=initial_e):
-                return EdgeModel(graph, initial, alpha=ALPHA, seed=rng)
-
             times_e = sample_t_eps(
-                make_edge, EPSILON, replicas, seed=seed + n + 1,
-                max_steps=500_000_000, engine=engine, kernel=kernel,
+                EngineSpec("edge", adjacency, initial_e, ALPHA, kernel=kernel),
+                EPSILON, replicas, seed=seed + n + 1, max_steps=500_000_000,
+                engine=engine,
             )
             table.add_row("edge", name, n, float(times_e.mean()), bound_e,
                           float(times_e.mean()) / bound_e)

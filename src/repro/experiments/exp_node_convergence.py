@@ -21,7 +21,8 @@ from repro.api import (
 )
 from repro.analysis.fits import ratio_statistics
 from repro.core.initial import center_degree_weighted, linear_ramp
-from repro.core.node_model import NodeModel
+from repro.engine.driver import EngineSpec
+from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -88,13 +89,13 @@ def run(
             lambda2, _ = second_walk_eigenpair(graph)
             norm_sq = float(np.sum(initial**2))
             bound = node_model_upper_bound(n, lambda2, norm_sq, EPSILON)
-
-            def make(rng, graph=graph, initial=initial):
-                return NodeModel(graph, initial, alpha=ALPHA, k=1, seed=rng)
-
+            spec = EngineSpec(
+                "node", Adjacency.from_graph(graph), initial, ALPHA,
+                kernel=kernel,
+            )
             times = sample_t_eps(
-                make, EPSILON, replicas, seed=seed + n, max_steps=200_000_000,
-                engine=engine, kernel=kernel,
+                spec, EPSILON, replicas, seed=seed + n, max_steps=200_000_000,
+                engine=engine,
             )
             measured = float(times.mean())
             table.add_row(

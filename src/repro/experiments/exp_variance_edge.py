@@ -17,9 +17,9 @@ from repro.api import (
     experiment,
     kernel_param,
 )
-from repro.core.edge_model import EdgeModel
 from repro.core.initial import center_simple, rademacher_values
-from repro.core.node_model import NodeModel
+from repro.engine.driver import EngineSpec
+from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import cycle_graph, random_regular_graph
 from repro.sim.montecarlo import estimate_moments, sample_f_values
 from repro.sim.results import ResultTable
@@ -78,17 +78,12 @@ def run(
     ]:
         bounds = variance_bounds(graph, values, alpha=ALPHA, k=1)
         env_low, env_high = variance_envelope(n, d, 1, ALPHA, norm_sq)
-
-        def make_edge(rng, graph=graph):
-            return EdgeModel(graph, values, alpha=ALPHA, seed=rng)
-
-        def make_node(rng, graph=graph):
-            return NodeModel(graph, values, alpha=ALPHA, k=1, seed=rng)
-
-        for model, make in [("edge", make_edge), ("node k=1", make_node)]:
+        adjacency = Adjacency.from_graph(graph)
+        for model, kind in [("edge", "edge"), ("node k=1", "node")]:
+            spec = EngineSpec(kind, adjacency, values, ALPHA, kernel=kernel)
             sample = sample_f_values(
-                make, replicas, seed=seed + d, discrepancy_tol=tol,
-                max_steps=500_000_000, engine=engine, kernel=kernel,
+                spec, replicas, seed=seed + d, discrepancy_tol=tol,
+                max_steps=500_000_000, engine=engine,
             )
             estimate = estimate_moments(sample, seed=seed)
             lo, hi = estimate.variance_ci

@@ -20,13 +20,13 @@ from repro.api import (
     experiment,
     kernel_param,
 )
-from repro.core.edge_model import EdgeModel
 from repro.core.initial import (
     center_degree_weighted,
     center_simple,
     rademacher_values,
 )
-from repro.core.node_model import NodeModel
+from repro.engine.driver import EngineSpec
+from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import erdos_renyi_graph, lollipop_graph, star_graph
 from repro.sim.montecarlo import estimate_moments, sample_f_values
 from repro.sim.results import ResultTable
@@ -80,10 +80,10 @@ def run(
         degrees = np.array([d for _, d in graph.degree()], dtype=float)
         d_mean = float(degrees.mean())
         d_info = f"{int(degrees.min())}/{d_mean:.1f}/{int(degrees.max())}"
-
-        for model_name, make_factory, centering in [
-            ("node", NodeModel, center_degree_weighted),
-            ("edge", EdgeModel, center_simple),
+        adjacency = Adjacency.from_graph(graph)
+        for model_name, centering in [
+            ("node", center_degree_weighted),
+            ("edge", center_simple),
         ]:
             if centering is center_degree_weighted:
                 initial = centering(graph, base[:nn])
@@ -93,17 +93,12 @@ def run(
             env_low, env_high = variance_envelope(
                 nn, max(2, int(round(d_mean))), 1, ALPHA, norm_sq
             )
-
-            if model_name == "node":
-                def make(rng, graph=graph, initial=initial):
-                    return NodeModel(graph, initial, alpha=ALPHA, k=1, seed=rng)
-            else:
-                def make(rng, graph=graph, initial=initial):
-                    return EdgeModel(graph, initial, alpha=ALPHA, seed=rng)
-
+            spec = EngineSpec(
+                model_name, adjacency, initial, ALPHA, kernel=kernel
+            )
             sample = sample_f_values(
-                make, replicas, seed=seed, discrepancy_tol=tol,
-                max_steps=500_000_000, engine=engine, kernel=kernel,
+                spec, replicas, seed=seed, discrepancy_tol=tol,
+                max_steps=500_000_000, engine=engine,
             )
             estimate = estimate_moments(sample, seed=seed)
             table.add_row(

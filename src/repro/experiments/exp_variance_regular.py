@@ -24,7 +24,8 @@ from repro.api import (
     kernel_param,
 )
 from repro.core.initial import center_simple, rademacher_values
-from repro.core.node_model import NodeModel
+from repro.engine.driver import EngineSpec
+from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -39,14 +40,12 @@ from repro.theory.variance import variance_bounds, variance_envelope
 ALPHA = 0.5
 
 
-def _mc_variance(graph, initial, k, replicas, seed, tol, engine="batch",
+def _mc_variance(adjacency, initial, k, replicas, seed, tol, engine="batch",
                  kernel="auto"):
-    def make(rng):
-        return NodeModel(graph, initial, alpha=ALPHA, k=k, seed=rng)
-
+    spec = EngineSpec("node", adjacency, initial, ALPHA, k, kernel=kernel)
     values = sample_f_values(
-        make, replicas, seed=seed, discrepancy_tol=tol, max_steps=500_000_000,
-        engine=engine, kernel=kernel,
+        spec, replicas, seed=seed, discrepancy_tol=tol, max_steps=500_000_000,
+        engine=engine,
     )
     # 99% CIs: the envelope-consistency check below should fail on a real
     # discrepancy, not on a 1-in-20 bootstrap miss.
@@ -109,7 +108,8 @@ def run(
     )
     for name, graph, d in graphs:
         estimate = _mc_variance(
-            graph, base_values, 1, replicas, seed + d, tol, engine, kernel
+            Adjacency.from_graph(graph), base_values, 1, replicas, seed + d,
+            tol, engine, kernel,
         )
         bounds = variance_bounds(graph, base_values, alpha=ALPHA, k=1)
         env_low, env_high = variance_envelope(n, d, 1, ALPHA, norm_sq)
@@ -146,6 +146,7 @@ def run(
     d = 8
     graph_k = random_regular_graph(n if n % 2 == 0 else n + 1, d, seed=seed + 7)
     nk = graph_k.number_of_nodes()
+    adjacency_k = Adjacency.from_graph(graph_k)
     values_k = center_simple(rademacher_values(nk, seed=rng))
     k_table = ResultTable(
         title="Theorem 2.2(2): Var(F) independent of k",
@@ -155,7 +156,7 @@ def run(
     k_replicas = max(80, replicas // 2)
     for k in (1, 2, 4, 8):
         estimate = _mc_variance(
-            graph_k, values_k, k, k_replicas, seed + 100 + k, tol, engine,
+            adjacency_k, values_k, k, k_replicas, seed + 100 + k, tol, engine,
             kernel
         )
         bounds = variance_bounds(graph_k, values_k, alpha=ALPHA, k=k)
@@ -171,7 +172,7 @@ def run(
         title="Theorem 2.2(2): Var(F) independent of value placement",
         columns=["placement", "Var_measured", "ci_low", "ci_high"],
     )
-    graph_p = cycle_graph(n)
+    adjacency_p = Adjacency.from_graph(cycle_graph(n))
     sorted_values = np.sort(base_values)
     shuffled = base_values.copy()
     rng.shuffle(shuffled)
@@ -183,7 +184,7 @@ def run(
     ]:
         values = center_simple(values)
         estimate = _mc_variance(
-            graph_p, values, 1, k_replicas, seed + 200, tol, engine, kernel
+            adjacency_p, values, 1, k_replicas, seed + 200, tol, engine, kernel
         )
         lo, hi = estimate.variance_ci
         placement.add_row(label, estimate.variance, lo, hi)

@@ -10,7 +10,6 @@ front end renders.
 from repro.sim.montecarlo import (
     MomentEstimate,
     estimate_moments,
-    replicate,
     sample_f_values,
     sample_meeting_times,
     sample_t_eps,
@@ -21,7 +20,6 @@ __all__ = [
     "MomentEstimate",
     "ResultTable",
     "estimate_moments",
-    "replicate",
     "sample_f_values",
     "sample_meeting_times",
     "sample_t_eps",

@@ -2,20 +2,21 @@
 
 ``sample_f_values`` draws i.i.d. realisations of the convergence value
 ``F`` (one full run to consensus per replica); ``sample_t_eps`` draws
-realisations of the convergence time.  Both spawn independent child RNGs
+realisations of the convergence time.  Both take the configuration as
+an :class:`~repro.engine.driver.EngineSpec` (model kind, graph, initial
+vector, ``alpha``, ``k``, laziness) and spawn independent child RNGs
 from a single experiment seed, so results are reproducible and replicas
 are statistically independent.  ``estimate_moments`` turns a sample into
 point estimates with bootstrap confidence intervals — the variance CI is
 what EXP-T222 compares against the Proposition 5.8 envelope.
 
-Both samplers accept ``engine="batch"`` (the default) to route the
-replica budget through :mod:`repro.engine`, which simulates the whole
-batch as one vectorized ``(B, n)`` matrix — 1–2 orders of magnitude
-faster per replica.  ``engine="loop"`` keeps the original one-process-
-per-replica path, which remains the correctness oracle; the batch path
-silently falls back to it when ``make_process`` builds something the
-engine cannot describe (a custom process subclass, or per-replica
-variation beyond the seed).
+``engine="batch"`` (the default) hands the spec to the batch engine
+(:mod:`repro.engine`), which simulates the whole replica set as one
+vectorized ``(B, n)`` matrix.  ``engine="loop"`` builds one scalar
+:class:`~repro.core.node_model.NodeModel` /
+:class:`~repro.core.edge_model.EdgeModel` per replica from the same spec
+— the correctness oracle.  The loop runs static graphs only and rejects
+a spec with a ``graph_schedule``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ import numpy as np
 
 from repro.core.base import AveragingProcess
 from repro.core.convergence import measure_t_eps, run_to_consensus
-from repro.engine.kernels import validate_kernel
+from repro.core.edge_model import EdgeModel
+from repro.core.node_model import NodeModel
+from repro.engine.driver import EngineSpec, sample_f_batch, sample_t_eps_batch
 from repro.exceptions import ParameterError
 from repro.rng import SeedLike, as_generator, spawn
 
@@ -50,115 +53,54 @@ def validate_engine(engine: str, allow_exact: bool = False) -> str:
     return engine
 
 
-def replicate(
-    make_process: Callable[[np.random.Generator], AveragingProcess],
-    run_one: Callable[[AveragingProcess], float],
+def _sample_loop(
+    spec: EngineSpec,
     replicas: int,
-    seed: SeedLike = None,
+    seed: SeedLike,
+    run_one: Callable[[AveragingProcess], float],
 ) -> np.ndarray:
-    """Run ``replicas`` independent simulations; return their statistics.
-
-    ``make_process`` receives a fresh child generator per replica;
-    ``run_one`` maps a process to a scalar outcome.
-    """
+    """``run_one`` on one scalar process per child of ``spawn(seed, replicas)``."""
+    if spec.graph_schedule is not None:
+        raise ParameterError(
+            "engine='loop' runs static graphs only; a spec with a "
+            "graph_schedule needs engine='batch'"
+        )
     if replicas < 1:
         raise ParameterError(f"replicas must be positive, got {replicas}")
     outcomes = np.empty(replicas)
     for i, rng in enumerate(spawn(seed, replicas)):
-        outcomes[i] = run_one(make_process(rng))
+        if spec.kind == "node":
+            process: AveragingProcess = NodeModel(
+                spec.adjacency, spec.initial_values, spec.alpha, k=spec.k,
+                seed=rng, lazy=spec.lazy,
+            )
+        else:
+            process = EdgeModel(
+                spec.adjacency, spec.initial_values, spec.alpha,
+                seed=rng, lazy=spec.lazy,
+            )
+        outcomes[i] = run_one(process)
     return outcomes
 
 
-def _derive_spec(
-    make_process: Callable[[np.random.Generator], AveragingProcess],
-    seed: SeedLike,
-):
-    """Derive a batch :class:`~repro.engine.driver.EngineSpec` or ``None``.
-
-    The factory is probed twice with distinct child generators; if the
-    two processes disagree on anything but their seed (different initial
-    vectors, graphs or parameters — e.g. randomised per-replica starts),
-    the configuration is not batchable and the caller falls back to the
-    loop engine.
-    """
-    from repro.engine.driver import EngineSpec
-
-    probe_a, probe_b = (make_process(rng) for rng in spawn(seed, 2))
-    try:
-        spec_a = EngineSpec.from_process(probe_a)
-        spec_b = EngineSpec.from_process(probe_b)
-    except ParameterError:
-        return None
-    return spec_a if spec_a == spec_b else None
-
-
-def _resolve_engine(
-    make_process: Callable[[np.random.Generator], AveragingProcess],
-    seed: SeedLike,
-    engine: str,
-    cache_dir: Optional[str],
-    kernel: str = "auto",
-):
-    """Validate ``engine``/``kernel`` and resolve the batch route, if any.
-
-    Returns ``(spec, cache)`` when the batch engine applies, or
-    ``(None, None)`` when the loop engine was requested or the factory
-    is not batchable.  ``kernel`` selects the stepping kernel of the
-    batch engine (:mod:`repro.engine.kernels`); the loop engine
-    ignores it.
-    """
-    validate_engine(engine)
-    validate_kernel(kernel)
-    if engine != "batch":
-        return None, None
-    spec = _derive_spec(make_process, seed)
-    if spec is None:
-        return None, None
-    if kernel != spec.kernel:
-        from dataclasses import replace
-
-        spec = replace(spec, kernel=kernel)
-    from repro.engine.cache import ResultCache
-
-    return spec, ResultCache(cache_dir) if cache_dir else None
-
-
 def sample_f_values(
-    make_process: Callable[[np.random.Generator], AveragingProcess],
+    spec: EngineSpec,
     replicas: int,
     seed: SeedLike = None,
     discrepancy_tol: float = 1e-8,
     max_steps: int = 50_000_000,
     engine: str = "batch",
-    processes: int = 1,
-    cache_dir: Optional[str] = None,
-    kernel: str = "auto",
 ) -> np.ndarray:
-    """I.i.d. samples of the convergence value ``F``.
+    """I.i.d. samples of the convergence value ``F`` of ``spec``.
 
-    ``engine="batch"`` (default) vectorises the whole replica set;
-    ``engine="loop"`` runs one process per replica.  ``kernel``,
-    ``processes`` and ``cache_dir`` apply to the batch engine only: the
-    first selects the stepping kernel (fused multi-round blocks, their
-    compiled C loop, or the legacy per-round path — see
-    :mod:`repro.engine.kernels`), the second fans replica shards across
-    worker processes, the third memoises finished sample arrays on disk
-    (see :class:`repro.engine.cache.ResultCache`).
+    ``engine="batch"`` (default) is :func:`~repro.engine.driver.sample_f_batch`
+    on ``spec``, stepped by ``spec.kernel``; ``engine="loop"`` runs one
+    scalar process per replica.
     """
-    spec, cache = _resolve_engine(
-        make_process, seed, engine, cache_dir, kernel
-    )
-    if spec is not None:
-        from repro.engine.driver import sample_f_batch
-
+    if validate_engine(engine) == "batch":
         return sample_f_batch(
-            spec,
-            replicas,
-            seed=seed,
-            discrepancy_tol=discrepancy_tol,
+            spec, replicas, seed=seed, discrepancy_tol=discrepancy_tol,
             max_steps=max_steps,
-            processes=processes,
-            cache=cache,
         )
 
     def run_one(process: AveragingProcess) -> float:
@@ -166,45 +108,30 @@ def sample_f_values(
             process, discrepancy_tol=discrepancy_tol, max_steps=max_steps
         ).value
 
-    return replicate(make_process, run_one, replicas, seed)
+    return _sample_loop(spec, replicas, seed, run_one)
 
 
 def sample_t_eps(
-    make_process: Callable[[np.random.Generator], AveragingProcess],
+    spec: EngineSpec,
     epsilon: float,
     replicas: int,
     seed: SeedLike = None,
     max_steps: int = 50_000_000,
     engine: str = "batch",
-    processes: int = 1,
-    cache_dir: Optional[str] = None,
-    kernel: str = "auto",
 ) -> np.ndarray:
-    """I.i.d. samples of the convergence time ``T_eps``.
+    """I.i.d. samples of the convergence time ``T_eps`` of ``spec``.
 
-    Engine and kernel selection work exactly as in
-    :func:`sample_f_values`.
+    Engine selection works exactly as in :func:`sample_f_values`.
     """
-    spec, cache = _resolve_engine(
-        make_process, seed, engine, cache_dir, kernel
-    )
-    if spec is not None:
-        from repro.engine.driver import sample_t_eps_batch
-
+    if validate_engine(engine) == "batch":
         return sample_t_eps_batch(
-            spec,
-            epsilon,
-            replicas,
-            seed=seed,
-            max_steps=max_steps,
-            processes=processes,
-            cache=cache,
+            spec, epsilon, replicas, seed=seed, max_steps=max_steps
         )
 
     def run_one(process: AveragingProcess) -> float:
         return float(measure_t_eps(process, epsilon, max_steps))
 
-    return replicate(make_process, run_one, replicas, seed)
+    return _sample_loop(spec, replicas, seed, run_one)
 
 
 def sample_meeting_times(
@@ -226,7 +153,7 @@ def sample_meeting_times(
     Section-5 machinery generalises.  ``engine="batch"`` runs all
     replicas as one :class:`~repro.engine.dual.BatchCoalescing` batch,
     sharded / multiprocessed / disk-cached exactly like
-    :func:`sample_f_values`; ``engine="loop"`` runs one scalar
+    :func:`~repro.engine.driver.sample_f_batch`; ``engine="loop"`` runs one scalar
     :class:`~repro.dual.CoalescingWalks` per replica (the oracle);
     ``engine="exact"`` skips sampling entirely and returns the
     absorbing-chain expectation

@@ -1,77 +1,12 @@
-"""Tests for decay fitting and result-table diffs."""
+"""Tests for result-table diffs and the archived payload codec."""
 
 import json
 
-import numpy as np
 import pytest
 
-from repro.analysis.decay import DecayFit, decay_summary, fit_decay_rate
 from repro.api import Provenance, RunResult, RunSpec
 from repro.api.store import diff_tables
-from repro.core.node_model import NodeModel
-from repro.core.runner import Trajectory, record_trajectory
-from repro.exceptions import ParameterError
-from repro.graphs.spectral import second_walk_eigenpair
 from repro.sim.results import ResultTable
-from repro.theory.contraction import node_model_contraction_factor
-
-
-def synthetic_trajectory(rate: float, phi0: float = 1.0, points: int = 20) -> Trajectory:
-    times = np.arange(points) * 100
-    phi = phi0 * np.exp(-rate * times)
-    zeros = np.zeros(points)
-    return Trajectory(
-        times=times, phi=phi, discrepancy=zeros,
-        simple_average=zeros, weighted_average=zeros,
-    )
-
-
-class TestDecayFit:
-    def test_recovers_exact_exponential(self):
-        fit = fit_decay_rate(synthetic_trajectory(rate=1e-3))
-        assert fit.rate == pytest.approx(1e-3, rel=1e-9)
-        assert fit.phi0 == pytest.approx(1.0, rel=1e-9)
-        assert fit.r_squared == pytest.approx(1.0)
-
-    def test_half_life(self):
-        fit = DecayFit(rate=np.log(2.0), phi0=1.0, r_squared=1.0)
-        assert fit.half_life == pytest.approx(1.0)
-        assert DecayFit(rate=0.0, phi0=1.0, r_squared=1.0).half_life == np.inf
-
-    def test_factor(self):
-        fit = DecayFit(rate=0.1, phi0=1.0, r_squared=1.0)
-        assert fit.factor() == pytest.approx(np.exp(-0.1))
-
-    def test_floor_samples_dropped(self):
-        trajectory = synthetic_trajectory(rate=2e-3, points=40)
-        trajectory.phi[-10:] = 1e-16  # noise floor
-        fit = fit_decay_rate(trajectory, floor=1e-13)
-        assert fit.rate == pytest.approx(2e-3, rel=1e-6)
-
-    def test_too_few_points_raises(self):
-        trajectory = synthetic_trajectory(rate=1.0, points=3)
-        trajectory.phi[:] = 1e-20
-        with pytest.raises(ParameterError):
-            fit_decay_rate(trajectory)
-
-    def test_real_process_decay_at_least_theoretical(self, small_regular, rng):
-        """Measured phi decay should not be slower than the Prop B.1 bound
-        (averaged over a long run)."""
-        initial = rng.normal(size=10)
-        process = NodeModel(small_regular, initial, alpha=0.5, k=1, seed=1)
-        # Short sampling interval: phi hits the float noise floor after a
-        # few thousand steps on this 10-node expander.
-        trajectory = record_trajectory(process, steps=4_000, sample_every=200)
-        fit = fit_decay_rate(trajectory)
-        lambda2, _ = second_walk_eigenpair(small_regular)
-        factor = node_model_contraction_factor(10, lambda2, 0.5, 1)
-        summary = decay_summary(trajectory, factor)
-        assert summary.rate_ratio > 0.8
-        assert fit.r_squared > 0.8
-
-    def test_decay_summary_validation(self):
-        with pytest.raises(ParameterError):
-            decay_summary(synthetic_trajectory(1e-3), theoretical_factor=1.0)
 
 
 class TestDiffTables:

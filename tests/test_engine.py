@@ -154,14 +154,14 @@ class TestStatisticalEquivalence:
     """Each engine draws its own randomness; moments must agree."""
 
     def test_f_moments_match_loop(self, regular36, values36):
-        def make(rng):
-            return NodeModel(regular36, values36, alpha=0.5, k=1, seed=rng)
-
+        spec = EngineSpec(
+            "node", Adjacency.from_graph(regular36), values36, 0.5, 1
+        )
         loop = sample_f_values(
-            make, 300, seed=5, discrepancy_tol=1e-6, engine="loop"
+            spec, 300, seed=5, discrepancy_tol=1e-6, engine="loop"
         )
         batch = sample_f_values(
-            make, 300, seed=5, discrepancy_tol=1e-6, engine="batch"
+            spec, 300, seed=5, discrepancy_tol=1e-6, engine="batch"
         )
         assert len(batch) == len(loop) == 300
         # Means: both estimate E[F] = 0; compare within combined stderr.
@@ -172,23 +172,21 @@ class TestStatisticalEquivalence:
         assert 0.6 < ratio < 1.7
 
     def test_t_eps_distribution_matches_loop(self, regular36, values36):
-        def make(rng):
-            return NodeModel(regular36, values36, alpha=0.5, k=1, seed=rng)
-
-        loop = sample_t_eps(make, 1e-6, 60, seed=6, engine="loop")
-        batch = sample_t_eps(make, 1e-6, 60, seed=6, engine="batch")
+        spec = EngineSpec(
+            "node", Adjacency.from_graph(regular36), values36, 0.5, 1
+        )
+        loop = sample_t_eps(spec, 1e-6, 60, seed=6, engine="loop")
+        batch = sample_t_eps(spec, 1e-6, 60, seed=6, engine="batch")
         assert np.all(batch > 0)
         assert 0.8 < batch.mean() / loop.mean() < 1.25
 
     def test_edge_model_f_moments_match_loop(self, regular36, values36):
-        def make(rng):
-            return EdgeModel(regular36, values36, alpha=0.5, seed=rng)
-
+        spec = EngineSpec("edge", Adjacency.from_graph(regular36), values36, 0.5)
         loop = sample_f_values(
-            make, 200, seed=7, discrepancy_tol=1e-6, engine="loop"
+            spec, 200, seed=7, discrepancy_tol=1e-6, engine="loop"
         )
         batch = sample_f_values(
-            make, 200, seed=7, discrepancy_tol=1e-6, engine="batch"
+            spec, 200, seed=7, discrepancy_tol=1e-6, engine="batch"
         )
         ratio = batch.var(ddof=1) / loop.var(ddof=1)
         assert 0.5 < ratio < 2.0
@@ -581,56 +579,36 @@ class TestCache:
         sample_f_batch(spec, 20, seed=None, discrepancy_tol=1e-6, cache=cache)
         assert not list(tmp_path.glob("*.npy"))
 
-    def test_via_sample_f_values_cache_dir(self, tmp_path, regular36, values36):
-        def make(rng):
-            return NodeModel(regular36, values36, alpha=0.5, k=1, seed=rng)
-
-        first = sample_f_values(
-            make, 40, seed=9, discrepancy_tol=1e-6, cache_dir=str(tmp_path)
-        )
-        second = sample_f_values(
-            make, 40, seed=9, discrepancy_tol=1e-6, cache_dir=str(tmp_path)
-        )
-        np.testing.assert_array_equal(first, second)
-        assert list(tmp_path.glob("*.npy"))
-
 
 class TestEngineSelection:
-    def test_loop_fallback_for_custom_process(self, regular36, values36):
-        """A factory the engine cannot describe silently uses the loop.
+    def test_batch_engine_is_sample_f_batch(self, regular36, values36):
+        """The facade hands the spec to the batch driver unchanged."""
+        spec = EngineSpec(
+            "node", Adjacency.from_graph(regular36), values36, 0.5, 1
+        )
+        np.testing.assert_array_equal(
+            sample_f_values(spec, 40, seed=9, discrepancy_tol=1e-6),
+            sample_f_batch(spec, 40, seed=9, discrepancy_tol=1e-6),
+        )
 
-        A subclass may override the selection law, so it must not be
-        batchable even when it adds nothing else.
-        """
-        from repro.sim.montecarlo import _derive_spec
-
-        class Custom(NodeModel):
-            pass
-
-        def make(rng):
-            return Custom(regular36, values36, alpha=0.5, k=1, seed=rng)
-
-        assert _derive_spec(make, 1) is None
-        sample = sample_f_values(make, 5, seed=1, discrepancy_tol=1e-6)
-        assert len(sample) == 5
-
-    def test_loop_fallback_for_per_replica_initials(self, regular36):
-        """Randomised per-replica starts are detected and loop-routed."""
-
-        def make(rng):
-            return NodeModel(
-                regular36, rng.normal(size=36), alpha=0.5, k=1, seed=rng
-            )
-
-        sample = sample_f_values(make, 5, seed=2, discrepancy_tol=1e-6)
-        assert len(np.unique(np.round(sample, 12))) > 1
+    def test_loop_rejects_schedule_spec(self, regular36, values36):
+        """The scalar oracle runs static graphs; it must not silently run
+        a schedule's first snapshot."""
+        schedule = CyclicSchedule(
+            [regular36, random_regular_graph(36, 4, seed=2)], 5
+        )
+        spec = EngineSpec.for_schedule("node", schedule, values36, 0.5)
+        with pytest.raises(ParameterError, match="graph_schedule"):
+            sample_f_values(spec, 5, seed=1, engine="loop")
+        with pytest.raises(ParameterError, match="graph_schedule"):
+            sample_t_eps(spec, 1e-6, 5, seed=1, engine="loop")
 
     def test_unknown_engine_rejected(self, regular36, values36):
-        def make(rng):
-            return NodeModel(regular36, values36, alpha=0.5, k=1, seed=rng)
-
+        spec = EngineSpec(
+            "node", Adjacency.from_graph(regular36), values36, 0.5, 1
+        )
         with pytest.raises(ParameterError):
-            sample_f_values(make, 5, seed=1, engine="warp")
+            sample_f_values(spec, 5, seed=1, engine="warp")
 
     def test_spec_equality_and_hash(self, regular36, values36):
         """Specs compare and hash by content (usable as dict/set keys)."""

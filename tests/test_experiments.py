@@ -257,3 +257,27 @@ class TestPaperClaims:
         (table,) = fast_tables("EXP-T241")
         ratios = table.column("ratio")
         assert max(ratios) / min(ratios) < 20.0
+
+
+class TestMonteCarloPath:
+    """The samplers take an EngineSpec: no process factory is probed."""
+
+    def test_t222_batch_builds_no_scalar_process(self, monkeypatch):
+        from repro.core.base import AveragingProcess
+
+        built = []
+        init = AveragingProcess.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AveragingProcess, "__init__", counting_init)
+        tables = run_fast("EXP-T222", engine="batch", replicas=8)
+        assert tables and built == []
+
+    def test_duality_tables_carry_no_kernel_column(self):
+        """The kernel is provenance: the table reads the same under any
+        kernel that runs the same stream."""
+        assert "kernel" not in fast_tables("EXP-F1")[2].columns
+        assert "kernel" not in fast_tables("EXP-F4")[1].columns

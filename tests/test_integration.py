@@ -9,6 +9,8 @@ from repro.core.initial import center_simple, rademacher_values
 from repro.core.edge_model import EdgeModel
 from repro.core.node_model import NodeModel
 from repro.dual.duality import run_coupled, verify_duality
+from repro.engine import EngineSpec
+from repro.graphs.adjacency import Adjacency
 from repro.graphs.spectral import (
     second_laplacian_eigenpair,
     second_walk_eigenpair,
@@ -22,6 +24,11 @@ from repro.theory.convergence import (
 from repro.theory.variance import variance_bounds
 
 
+def _spec(kind, graph, initial, k=1):
+    """The alpha = 1/2 configuration the samplers run."""
+    return EngineSpec(kind, Adjacency.from_graph(graph), initial, 0.5, k)
+
+
 class TestExpectationOfF:
     def test_node_model_f_expectation_degree_weighted(self):
         """Lemma 4.1's consequence: E[F] = sum_u pi_u xi_u(0) on an
@@ -30,11 +37,9 @@ class TestExpectationOfF:
         initial = np.array([6.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         pi = stationary_distribution(graph)
         expected = float(np.sum(pi * initial))  # = 3.0: hub has half the mass
-
-        def make(rng):
-            return NodeModel(graph, initial, alpha=0.5, k=1, seed=rng)
-
-        sample = sample_f_values(make, 300, seed=1, discrepancy_tol=1e-7)
+        sample = sample_f_values(
+            _spec("node", graph, initial), 300, seed=1, discrepancy_tol=1e-7
+        )
         estimate = estimate_moments(sample, seed=1)
         lo, hi = estimate.mean_ci
         assert lo <= expected <= hi
@@ -44,11 +49,9 @@ class TestExpectationOfF:
         graph = nx.star_graph(5)
         initial = np.array([6.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         expected = 1.0  # simple average
-
-        def make(rng):
-            return EdgeModel(graph, initial, alpha=0.5, seed=rng)
-
-        sample = sample_f_values(make, 300, seed=2, discrepancy_tol=1e-7)
+        sample = sample_f_values(
+            _spec("edge", graph, initial), 300, seed=2, discrepancy_tol=1e-7
+        )
         estimate = estimate_moments(sample, seed=2)
         lo, hi = estimate.mean_ci
         assert lo <= expected <= hi
@@ -57,19 +60,12 @@ class TestExpectationOfF:
         """The hub-weighted vs uniform expectations are distinguishable."""
         graph = nx.star_graph(5)
         initial = np.array([6.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-
-        def make_node(rng):
-            return NodeModel(graph, initial, alpha=0.5, k=1, seed=rng)
-
-        def make_edge(rng):
-            return EdgeModel(graph, initial, alpha=0.5, seed=rng)
-
-        node_mean = float(
-            sample_f_values(make_node, 300, seed=3, discrepancy_tol=1e-7).mean()
-        )
-        edge_mean = float(
-            sample_f_values(make_edge, 300, seed=4, discrepancy_tol=1e-7).mean()
-        )
+        node_mean = float(sample_f_values(
+            _spec("node", graph, initial), 300, seed=3, discrepancy_tol=1e-7
+        ).mean())
+        edge_mean = float(sample_f_values(
+            _spec("edge", graph, initial), 300, seed=4, discrepancy_tol=1e-7
+        ).mean())
         assert node_mean > 2.0  # near 3
         assert edge_mean < 2.0  # near 1
 
@@ -132,11 +128,10 @@ class TestVarianceEndToEnd:
         variances = {}
         for name, graph in (("cycle", nx.cycle_graph(n)),
                             ("clique", nx.complete_graph(n))):
-
-            def make(rng, graph=graph):
-                return NodeModel(graph, initial, alpha=0.5, k=1, seed=rng)
-
-            sample = sample_f_values(make, 250, seed=6, discrepancy_tol=1e-7)
+            sample = sample_f_values(
+                _spec("node", graph, initial), 250, seed=6,
+                discrepancy_tol=1e-7,
+            )
             variances[name] = float(np.var(sample, ddof=1))
         ratio = variances["cycle"] / variances["clique"]
         assert 0.5 < ratio < 2.0
@@ -146,11 +141,10 @@ class TestVarianceEndToEnd:
         graph = nx.random_regular_graph(4, n, seed=8)
         initial = center_simple(rademacher_values(n, seed=9))
         bounds = variance_bounds(graph, initial, alpha=0.5, k=2)
-
-        def make(rng):
-            return NodeModel(graph, initial, alpha=0.5, k=2, seed=rng)
-
-        sample = sample_f_values(make, 300, seed=10, discrepancy_tol=1e-7)
+        sample = sample_f_values(
+            _spec("node", graph, initial, k=2), 300, seed=10,
+            discrepancy_tol=1e-7,
+        )
         estimate = estimate_moments(sample, confidence=0.99, seed=10)
         lo, hi = estimate.variance_ci
         assert hi >= bounds.lower and lo <= bounds.upper

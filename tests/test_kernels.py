@@ -376,6 +376,26 @@ class TestJitExecutorBitIdentity:
         np.testing.assert_array_equal(fused.values, jit.values)
 
 
+class TestLazyPlanLayout:
+    """Lazy k = 1 draws over frozen rows pack C-ordered plans, which the
+    C loop reads in place (bit identity: TestJitExecutorBitIdentity)."""
+
+    @pytest.mark.parametrize("kind", ["node", "edge"])
+    def test_frozen_rows_give_c_contiguous_plan(self, kind):
+        values = np.random.default_rng(3).normal(size=30)
+        model = BatchNodeModel if kind == "node" else BatchEdgeModel
+        batch = model(
+            _dense_graph("irregular"), values, 0.5, replicas=6, seed=7,
+            lazy=True, kernel="fused",
+        )
+        batch.freeze([1, 4])
+        batch._sync_snapshot()
+        plan = batch._plan_block(batch._block_size(40))
+        assert plan.write_idx.shape[1] == 4
+        for array in (plan.write_idx, plan.gather_idx, plan.keep):
+            assert array.flags.c_contiguous
+
+
 class TestBlockLoopLoader:
     """Building and loading the C loop fails safe and caches."""
 
@@ -599,16 +619,15 @@ class TestStatisticalParity:
     def test_f_moments(self, regular64, values64):
         small = random_regular_graph(36, 4, seed=0)
         initial = center_simple(rademacher_values(36, seed=1))
-
-        def make(rng):
-            return NodeModel(small, initial, alpha=0.5, k=1, seed=rng)
-
+        spec = EngineSpec(
+            "node", Adjacency.from_graph(small), initial, 0.5, 1,
+            kernel="fused",
+        )
         loop = sample_f_values(
-            make, 300, seed=5, discrepancy_tol=1e-6, engine="loop"
+            spec, 300, seed=5, discrepancy_tol=1e-6, engine="loop"
         )
         fused = sample_f_values(
-            make, 300, seed=5, discrepancy_tol=1e-6, engine="batch",
-            kernel="fused",
+            spec, 300, seed=5, discrepancy_tol=1e-6, engine="batch"
         )
         stderr = np.hypot(loop.std() / np.sqrt(300), fused.std() / np.sqrt(300))
         assert abs(loop.mean() - fused.mean()) < 5 * stderr
@@ -618,23 +637,21 @@ class TestStatisticalParity:
     def test_t_eps_distribution(self, regular64, values64):
         small = random_regular_graph(36, 4, seed=0)
         initial = center_simple(rademacher_values(36, seed=1))
-
-        def make(rng):
-            return NodeModel(small, initial, alpha=0.5, k=1, seed=rng)
-
-        loop = sample_t_eps(make, 1e-6, 60, seed=6, engine="loop")
-        fused = sample_t_eps(
-            make, 1e-6, 60, seed=6, engine="batch", kernel="fused"
+        spec = EngineSpec(
+            "node", Adjacency.from_graph(small), initial, 0.5, 1,
+            kernel="fused",
         )
+        loop = sample_t_eps(spec, 1e-6, 60, seed=6, engine="loop")
+        fused = sample_t_eps(spec, 1e-6, 60, seed=6, engine="batch")
         assert np.all(fused > 0)
         assert 0.8 < fused.mean() / loop.mean() < 1.25
 
     def test_invalid_kernel_rejected(self, regular64, values64):
-        def make(rng):
-            return NodeModel(regular64, values64, alpha=0.5, k=1, seed=rng)
-
         with pytest.raises(ParameterError):
-            sample_f_values(make, 5, seed=1, kernel="warp")
+            EngineSpec(
+                "node", Adjacency.from_graph(regular64), values64, 0.5, 1,
+                kernel="warp",
+            )
 
 
 class TestEngineSpecKernel:
@@ -773,16 +790,14 @@ class TestHighDegreeSubsets:
     def test_statistics_match_loop(self):
         graph = complete_graph(70)
         values = center_simple(rademacher_values(70, seed=2))
-
-        def make(rng):
-            return NodeModel(graph, values, alpha=0.5, k=2, seed=rng)
-
+        spec = EngineSpec(
+            "node", Adjacency.from_graph(graph), values, 0.5, 2,
+            kernel="fused",
+        )
         loop = sample_f_values(
-            make, 120, seed=8, discrepancy_tol=1e-6, engine="loop"
+            spec, 120, seed=8, discrepancy_tol=1e-6, engine="loop"
         )
-        fused = sample_f_values(
-            make, 120, seed=8, discrepancy_tol=1e-6, kernel="fused"
-        )
+        fused = sample_f_values(spec, 120, seed=8, discrepancy_tol=1e-6)
         ratio = fused.var(ddof=1) / loop.var(ddof=1)
         assert 0.4 < ratio < 2.5
 

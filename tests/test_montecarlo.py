@@ -3,80 +3,62 @@
 import numpy as np
 import pytest
 
-from repro.core.node_model import NodeModel
+from repro.engine import EngineSpec
 from repro.exceptions import ParameterError
+from repro.graphs.adjacency import Adjacency
 from repro.sim.montecarlo import (
     estimate_moments,
-    replicate,
     sample_f_values,
     sample_t_eps,
 )
 
 
-class TestReplicate:
-    def test_runs_requested_count(self, small_regular, rng):
-        initial = rng.normal(size=10)
-        calls = []
+@pytest.fixture
+def spec10(small_regular, rng):
+    """NodeModel(alpha = 1/2, k = 1) on the 10-node expander."""
+    return EngineSpec(
+        "node", Adjacency.from_graph(small_regular), rng.normal(size=10), 0.5
+    )
 
-        def make(child):
-            calls.append(child)
-            return NodeModel(small_regular, initial, alpha=0.5, seed=child)
 
-        outcomes = replicate(make, lambda p: float(p.n), 7, seed=1)
-        assert len(outcomes) == 7
-        assert len(calls) == 7
-        assert np.allclose(outcomes, 10.0)
+class TestLoopEngine:
+    """``engine="loop"``: one scalar process per child seed (the oracle)."""
 
-    def test_reproducible_with_seed(self, small_regular, rng):
-        initial = rng.normal(size=10)
+    def test_runs_requested_count(self, spec10):
+        times = sample_t_eps(spec10, 1e-6, 7, seed=1, engine="loop")
+        assert times.shape == (7,)
+        assert np.all(times > 0)
 
-        def make(child):
-            return NodeModel(small_regular, initial, alpha=0.5, seed=child)
+    def test_reproducible_with_seed(self, spec10):
+        a = sample_f_values(spec10, 5, seed=42, engine="loop")
+        b = sample_f_values(spec10, 5, seed=42, engine="loop")
+        np.testing.assert_array_equal(a, b)
 
-        def run_one(process):
-            process.run(100)
-            return float(process.values[0])
+    def test_replica_independence(self, spec10):
+        values = sample_f_values(spec10, 10, seed=3, engine="loop")
+        assert len(np.unique(np.round(values, 12))) > 1  # F is random
 
-        a = replicate(make, run_one, 5, seed=42)
-        b = replicate(make, run_one, 5, seed=42)
-        assert np.allclose(a, b)
+    def test_f_values_in_hull(self, spec10):
+        initial = spec10.initial_values
+        values = sample_f_values(
+            spec10, 5, seed=4, discrepancy_tol=1e-8, engine="loop"
+        )
+        assert np.all(values >= initial.min()) and np.all(values <= initial.max())
 
-    def test_replica_independence(self, small_regular, rng):
-        initial = rng.normal(size=10)
-
-        def make(child):
-            return NodeModel(small_regular, initial, alpha=0.5, seed=child)
-
-        def run_one(process):
-            process.run(200)
-            return float(process.values[0])
-
-        outcomes = replicate(make, run_one, 10, seed=3)
-        assert len(np.unique(np.round(outcomes, 12))) > 1
-
-    def test_validation(self):
+    def test_validation(self, spec10):
         with pytest.raises(ParameterError):
-            replicate(lambda r: None, lambda p: 0.0, 0, seed=1)
+            sample_f_values(spec10, 0, seed=1, engine="loop")
 
 
 class TestSamplers:
-    def test_sample_f_values_in_hull(self, small_regular, rng):
-        initial = rng.normal(size=10)
-
-        def make(child):
-            return NodeModel(small_regular, initial, alpha=0.5, seed=child)
-
-        values = sample_f_values(make, 10, seed=5, discrepancy_tol=1e-7)
+    def test_sample_f_values_in_hull(self, spec10):
+        initial = spec10.initial_values
+        values = sample_f_values(spec10, 10, seed=5, discrepancy_tol=1e-7)
         assert np.all(values >= initial.min() - 1e-7)
         assert np.all(values <= initial.max() + 1e-7)
 
-    def test_sample_t_eps_positive(self, small_regular, rng):
-        initial = rng.normal(size=10)
-
-        def make(child):
-            return NodeModel(small_regular, initial, alpha=0.5, seed=child)
-
-        times = sample_t_eps(make, 1e-6, 6, seed=6)
+    def test_sample_t_eps_positive(self, spec10):
+        times = sample_t_eps(spec10, 1e-6, 6, seed=6)
         assert np.all(times > 0)
 
 

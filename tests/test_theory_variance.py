@@ -157,17 +157,15 @@ class TestPaperDisplayCoefficient:
 class TestMonteCarloAgreement:
     def test_variance_of_f_matches_core_small_complete_graph(self):
         """End-to-end: Monte-Carlo Var(F) on K5 vs the Prop 5.8 core."""
-        from repro.core.node_model import NodeModel
+        from repro.engine import EngineSpec
+        from repro.graphs.adjacency import Adjacency
         from repro.sim.montecarlo import sample_f_values
 
         graph = nx.complete_graph(5)
         values = center_simple(rademacher_values(5, seed=3))
         bounds = var.variance_bounds(graph, values, alpha=0.5, k=1)
-
-        def make(rng):
-            return NodeModel(graph, values, alpha=0.5, k=1, seed=rng)
-
-        sample = sample_f_values(make, 400, seed=11, discrepancy_tol=1e-7)
+        spec = EngineSpec("node", Adjacency.from_graph(graph), values, 0.5, 1)
+        sample = sample_f_values(spec, 400, seed=11, discrepancy_tol=1e-7)
         measured = float(np.var(sample, ddof=1))
         # 400 replicas: relative sd of the variance ~ sqrt(2/399) ~ 7%.
         assert measured == pytest.approx(bounds.core, rel=0.35)
