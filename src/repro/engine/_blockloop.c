@@ -1,19 +1,28 @@
 /* Compiled block loops of the "jit" kernel (see kernels.py).
  *
- * Each function executes one precomputed BlockPlan with the same IEEE
- * operations, in the same order, as run_block_fused: per round, gather
- * every active replica's entries, compute the updates, then scatter
- * them.  Built with -ffp-contract=off so no multiply-add is fused and
- * the results are bit-identical to the NumPy kernel.
+ * block_step is the whole block for node k = 1, node k = 2, the edge
+ * model and lazy k = 1: it decodes every active replica's selections
+ * from the block's uniforms with the same double operations as the
+ * NumPy decode (selection.py: draw_node_block, draw_edge_block,
+ * split_lazy, SamplingBackend._slots), range-checks every decoded index,
+ * and only then runs the rounds.  block_cat and block_lazy execute a
+ * precomputed BlockPlan (k > 2, and selection recording).
  *
- * Every function checks all plan indices against the flat state size
- * before its first write and returns -1 (state untouched) if any is out
- * of range, 0 on success.  A NULL old_blk selects plain mode; otherwise
- * old_blk and new_blk receive each round's (old, new) written values,
- * and new_blk doubles as the per-round scratch.
+ * All three run the rounds with the same IEEE operations, in the same
+ * order, as run_block_fused: per round, gather every active replica's
+ * entries, compute the updates, then scatter them.  Built with
+ * -ffp-contract=off so no multiply-add is fused and the results are
+ * bit-identical to the NumPy kernel.
+ *
+ * Every function checks all indices before its first write and returns
+ * -1 (state untouched) if any is out of range, 0 on success.  A NULL
+ * old_blk selects plain mode; otherwise old_blk and new_blk receive each
+ * round's (old, new) written values, and new_blk doubles as the
+ * per-round scratch.
  */
 #include <stddef.h>
 #include <stdint.h>
+#include <time.h>
 
 static int indices_in_range(const int64_t *idx, int64_t count, int64_t size)
 {
@@ -26,17 +35,15 @@ static int indices_in_range(const int64_t *idx, int64_t count, int64_t size)
     return 1;
 }
 
-/* Packed path: row r of cat is [neighbour_1 | ... | neighbour_k | write],
- * each part `active` wide, with the matching coef [beta/k ... | alpha].
- * new = t_0 + t_1 (+ t_2 ... + t_k), t_p = flat[cat_p] * coef_p. */
-int block_cat(double *flat, int64_t size, const int64_t *cat,
-              const double *coef, int64_t rounds, int64_t active, int64_t k,
-              double *scratch, double *old_blk, double *new_blk)
+/* Packed rounds: row r of cat is [neighbour_1 | ... | neighbour_k | write],
+ * each part `active` wide.  new = t_0 + t_1 (+ t_2 ... + t_k), with
+ * t_p = flat[neighbour_p] * beta_k and t_k = flat[write] * alpha. */
+static void execute_cat(double *flat, const int64_t *cat, int64_t rounds,
+                        int64_t active, int64_t k, double beta_k,
+                        double alpha, double *scratch, double *old_blk,
+                        double *new_blk)
 {
     const int64_t width = (k + 1) * active;
-    if (!indices_in_range(cat, rounds * width, size)) {
-        return -1;
-    }
     for (int64_t r = 0; r < rounds; r++) {
         const int64_t *row = cat + r * width;
         const int64_t *write = row + k * active;
@@ -48,10 +55,10 @@ int block_cat(double *flat, int64_t size, const int64_t *cat,
             }
         }
         for (int64_t j = 0; j < active; j++) {
-            double acc = flat[row[j]] * coef[j]
-                + flat[row[active + j]] * coef[active + j];
+            double acc = flat[row[j]] * beta_k
+                + flat[row[active + j]] * (k == 1 ? alpha : beta_k);
             for (int64_t p = 2; p <= k; p++) {
-                acc += flat[row[p * active + j]] * coef[p * active + j];
+                acc += flat[row[p * active + j]] * (p == k ? alpha : beta_k);
             }
             next[j] = acc;
         }
@@ -59,25 +66,21 @@ int block_cat(double *flat, int64_t size, const int64_t *cat,
             flat[write[j]] = next[j];
         }
     }
-    return 0;
 }
 
-/* Lazy k = 1 path: replica j updates in round r only where keep[r, j];
- * new = alpha * old + beta * flat[gather].  Skipped entries record
- * (0, 0), so their moment increments vanish. */
-int block_lazy(double *flat, int64_t size, const int64_t *write_idx,
-               const int64_t *gather_idx, const uint8_t *keep, double alpha,
-               double beta, int64_t rounds, int64_t active, double *scratch,
-               double *old_blk, double *new_blk)
+/* Lazy k = 1 rounds: replica j updates in round r only where keep[r, j];
+ * new = alpha * old + beta * flat[gather].  Round r's write and gather
+ * indices start at r * stride.  Skipped entries record (0, 0), so their
+ * moment increments vanish. */
+static void execute_lazy(double *flat, const int64_t *write_idx,
+                         const int64_t *gather_idx, int64_t stride,
+                         const uint8_t *keep, double alpha, double beta,
+                         int64_t rounds, int64_t active, double *scratch,
+                         double *old_blk, double *new_blk)
 {
-    const int64_t count = rounds * active;
-    if (!indices_in_range(write_idx, count, size)
-        || !indices_in_range(gather_idx, count, size)) {
-        return -1;
-    }
     for (int64_t r = 0; r < rounds; r++) {
-        const int64_t *write = write_idx + r * active;
-        const int64_t *gather = gather_idx + r * active;
+        const int64_t *write = write_idx + r * stride;
+        const int64_t *gather = gather_idx + r * stride;
         const uint8_t *kept = keep + r * active;
         double *next = old_blk ? new_blk + r * active : scratch;
         for (int64_t j = 0; j < active; j++) {
@@ -97,6 +100,159 @@ int block_lazy(double *flat, int64_t size, const int64_t *write_idx,
                 flat[write[j]] = next[j];
             }
         }
+    }
+}
+
+/* Execute a BlockPlan's packed cat_idx (coefficients [beta_k | alpha]). */
+int block_cat(double *flat, int64_t size, const int64_t *cat, int64_t rounds,
+              int64_t active, int64_t k, double beta_k, double alpha,
+              double *scratch, double *old_blk, double *new_blk)
+{
+    if (!indices_in_range(cat, rounds * (k + 1) * active, size)) {
+        return -1;
+    }
+    execute_cat(flat, cat, rounds, active, k, beta_k, alpha, scratch,
+                old_blk, new_blk);
+    return 0;
+}
+
+/* Execute a lazy k = 1 BlockPlan's (R, A) write and gather indices. */
+int block_lazy(double *flat, int64_t size, const int64_t *write_idx,
+               const int64_t *gather_idx, const uint8_t *keep, double alpha,
+               double beta, int64_t rounds, int64_t active, double *scratch,
+               double *old_blk, double *new_blk)
+{
+    const int64_t count = rounds * active;
+    if (!indices_in_range(write_idx, count, size)
+        || !indices_in_range(gather_idx, count, size)) {
+        return -1;
+    }
+    execute_lazy(flat, write_idx, gather_idx, active, keep, alpha, beta,
+                 rounds, active, scratch, old_blk, new_blk);
+    return 0;
+}
+
+/* Decode and run one block.
+ *
+ * flat is the (replicas, n) state; u the block's (rounds, replicas)
+ * uniforms, of which the active columns rows[0..active) are read in
+ * place (rows NULL: every column).  The sampling source is either the
+ * edge list (tails/heads, `edges` entries; k = 1) or, for the node
+ * model, a neighbour table: the dense (n, stride) table when offsets is
+ * NULL, else the CSR neighbours at offsets[node]; table_size bounds it.
+ * degrees holds every node's degree.
+ *
+ * index receives the decoded flat indices in block_cat's packed layout,
+ * (rounds, (k + 1) * active); keep (lazy only) the coins and weights
+ * (record mode, when pi is given) pi of each written node.  stamp, when
+ * not NULL, receives the CLOCK_MONOTONIC time at which decoding and the
+ * range check ended. */
+int block_step(double *flat, int64_t n, int64_t replicas, const double *u,
+               const int64_t *rows, int64_t active, int64_t rounds,
+               int64_t k, int64_t lazy, const int64_t *table, int64_t stride,
+               const int64_t *offsets, int64_t table_size,
+               const int64_t *degrees, const int64_t *tails,
+               const int64_t *heads, int64_t edges, double alpha,
+               double beta_k, const double *pi, int64_t *index,
+               uint8_t *keep, double *weights, double *scratch,
+               double *old_blk, double *new_blk, double *stamp)
+{
+    const int64_t width = (k + 1) * active;
+    const double scale = tails ? (double)edges : (double)n;
+    if ((tails ? !heads : (!table || !degrees)) || (lazy && !keep)
+        || (weights && !pi) || (old_blk ? !new_blk : !scratch)
+        || k < 1 || k > 2 || (tails && k != 1) || (lazy && k != 1)) {
+        return -1;
+    }
+    for (int64_t r = 0; r < rounds; r++) {
+        const double *ur = u + r * replicas;
+        int64_t *row = index + r * width;
+        for (int64_t j = 0; j < active; j++) {
+            const int64_t replica = rows ? rows[j] : j;
+            if ((uint64_t)replica >= (uint64_t)replicas) {
+                return -1;
+            }
+            double x = ur[replica];
+            if (lazy) {
+                /* split_lazy: the leading bit is the coin, 2u mod 1 the
+                 * remaining uniform. */
+                const double doubled = x * 2.0;
+                const uint8_t coin = doubled >= 1.0;
+                keep[r * active + j] = coin;
+                x = doubled - (double)coin;
+            }
+            x = x * scale;
+            const int64_t pick = (int64_t)x;
+            int64_t node, first, second = 0;
+            if (tails) {
+                if ((uint64_t)pick >= (uint64_t)edges) {
+                    return -1;
+                }
+                node = tails[pick];
+                first = heads[pick];
+            } else {
+                node = pick;
+                if ((uint64_t)node >= (uint64_t)n) {
+                    return -1;
+                }
+                x = x - (double)node;
+                const int64_t degree = degrees[node];
+                int64_t slot, slot2 = 0;
+                if (k == 1) {
+                    if (degree < 1) {
+                        return -1;
+                    }
+                    slot = (int64_t)(x * (double)degree);
+                } else {
+                    /* One of the deg * (deg - 1) ordered distinct pairs. */
+                    const int64_t degree_m1 = degree - 1;
+                    if (degree_m1 < 1) {
+                        return -1;
+                    }
+                    const int64_t pair =
+                        (int64_t)(x * (double)(degree * degree_m1));
+                    slot = pair / degree_m1;
+                    slot2 = pair % degree_m1;
+                    slot2 += slot2 >= slot;
+                }
+                const int64_t base = offsets ? offsets[node] : node * stride;
+                if ((uint64_t)base >= (uint64_t)table_size
+                    || slot >= table_size - base
+                    || slot2 >= table_size - base) {
+                    return -1;
+                }
+                first = table[base + slot];
+                if (k == 2) {
+                    second = table[base + slot2];
+                }
+            }
+            if ((uint64_t)node >= (uint64_t)n
+                || (uint64_t)first >= (uint64_t)n
+                || (uint64_t)second >= (uint64_t)n) {
+                return -1;
+            }
+            const int64_t offset = replica * n;
+            row[j] = offset + first;
+            if (k == 2) {
+                row[active + j] = offset + second;
+            }
+            row[k * active + j] = offset + node;
+            if (weights) {
+                weights[r * active + j] = pi[node];
+            }
+        }
+    }
+    if (stamp) {
+        struct timespec now;
+        clock_gettime(CLOCK_MONOTONIC, &now);
+        *stamp = (double)now.tv_sec + (double)now.tv_nsec * 1e-9;
+    }
+    if (lazy) {
+        execute_lazy(flat, index + active, index, width, keep, alpha, beta_k,
+                     rounds, active, scratch, old_blk, new_blk);
+    } else {
+        execute_cat(flat, index, rounds, active, k, beta_k, alpha, scratch,
+                    old_blk, new_blk);
     }
     return 0;
 }

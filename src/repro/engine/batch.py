@@ -14,10 +14,10 @@ path (one RNG call plus a dozen NumPy dispatches per time step, kept as
 the bit-compatible PR-1 reference), while the block kernels
 (``"fused"`` and ``"jit"``) advance the batch by blocks of
 :attr:`block_rounds` rounds per Python call — all block randomness
-pre-drawn in one C-order call, all value-independent index arithmetic
-hoisted out of the round loop, and (for ``"jit"``) the whole block
-executed by one compiled loop over the same variates, so fused and jit
-trajectories are bit-identical at a fixed seed (see
+pre-drawn in one C-order call and all value-independent index
+arithmetic hoisted out of the round loop.  ``"jit"`` decodes and runs
+the whole block in one compiled call over the same uniforms, so fused
+and jit trajectories are bit-identical at a fixed seed (see
 :mod:`repro.engine.kernels`).
 
 The per-replica potential ``phi`` is tracked via pi-weighted first and
@@ -42,6 +42,7 @@ interpreter over the batch and block dimensions.
 from __future__ import annotations
 
 import abc
+import time
 from typing import Sequence
 
 import networkx as nx
@@ -49,6 +50,7 @@ import numpy as np
 
 from repro.core.schedule import Schedule
 from repro.engine.backend import (
+    DenseBackend,
     SamplingBackend,
     SnapshotBackends,
     select_backend,
@@ -58,6 +60,7 @@ from repro.engine.kernels import (
     DEFAULT_BLOCK_ROUNDS,
     BlockPlan,
     make_block_executor,
+    make_block_stepper,
     resolve_kernel,
 )
 from repro.engine.selection import (
@@ -200,6 +203,9 @@ class BatchAveragingProcess(abc.ABC):
         self.kernel = resolve_kernel(kernel)
         self.block_rounds = DEFAULT_BLOCK_ROUNDS
         self._block_exec = make_block_executor(self.kernel)
+        # The jit kernel's one-call decode-and-execute path, for the
+        # shapes it covers (built by the concrete models, _init_stepper).
+        self._stepper = None
         # The flat view of `values` every gather/scatter indexes into.
         # `values` is allocated once and mutated in place, so the view
         # stays valid for the batch's lifetime; it is refreshed on
@@ -354,6 +360,8 @@ class BatchAveragingProcess(abc.ABC):
         ):
             pi_changed = not np.array_equal(self._pis[snapshot_id], self._pi)
             self._activate_snapshot(snapshot_id)
+            if self._stepper is not None:
+                self._bind_stepper()
             if pi_changed:
                 self.resync_moments()
         METRICS.count("engine.snapshot_switches")
@@ -377,7 +385,8 @@ class BatchAveragingProcess(abc.ABC):
 
     @abc.abstractmethod
     def _plan_block(self, block_rounds: int) -> BlockPlan:
-        """Precompute one R-round block for the fused/jit kernels.
+        """Precompute one R-round block in NumPy (fused, and the jit
+        kernel's ``k > 2`` and selection-recording blocks).
 
         Draws the block's randomness in one C-order call **for the full
         batch** (frozen replicas' columns are discarded), then computes
@@ -390,6 +399,32 @@ class BatchAveragingProcess(abc.ABC):
     def _plan_width(self) -> int:
         """Scratch elements per (round, replica) a block plan allocates."""
         return 1
+
+    def _init_stepper(self) -> None:
+        """Build the jit kernel's block stepper where it covers the shape."""
+        self._stepper = make_block_stepper(
+            self.kernel, self.replicas, self.n, self._selection_width,
+            self.lazy, self.alpha,
+        )
+        if self._stepper is not None:
+            self._bind_stepper()
+
+    def __getstate__(self) -> dict:
+        # The stepper holds raw pointers into this batch's arrays, so a
+        # copied or unpickled batch must build its own.
+        state = self.__dict__.copy()
+        state["_stepper"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # Copying does not keep `_flat` a view of `values`.
+        self._flat = self.values.reshape(-1)
+        self._init_stepper()
+
+    def _bind_stepper(self) -> None:
+        """Point the block stepper at the active snapshot's sampling source."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Stepping
@@ -498,19 +533,54 @@ class BatchAveragingProcess(abc.ABC):
                 break
             self._sync_snapshot()
             rounds = self._block_size(remaining)
-            plan = self._plan_block(rounds)
-            self._block_exec(self._flat, plan, self.alpha, False)
-            self._count_block(rounds, plan)
+            self._advance(rounds, False)
             self._moments_dirty = True
             self.t += rounds
             remaining -= rounds
 
-    def _count_block(self, rounds: int, plan: BlockPlan) -> None:
-        """Per-block work and plan-memory accounting (never per round)."""
+    def _advance(self, rounds: int, record: bool):
+        """Advance the active replicas by one ``rounds``-round block.
+
+        The jit kernel's stepper decodes and executes in one C call; the
+        other block kernels, ``k > 2`` and recorded selections plan the
+        block in NumPy (:meth:`_plan_block`) and execute the plan.  In
+        record mode returns ``(write_idx, keep, weights, old, new)``:
+        each round's written flat index, the lazy coins (or ``None``),
+        the pi weights of the written entries and their ``(old, new)``
+        values — what detection and :meth:`_rewind_crossed` read.  Under
+        an active tracer the block's plan time (RNG draw and decode) and
+        execute time go to the tracer's timers ``engine.time.plan_s``
+        and ``engine.time.execute_s``.
+        """
+        tracer = active_tracer()
+        timed = tracer.enabled
+        if timed:
+            start = time.perf_counter()
+        stepper = self._stepper
+        if stepper is not None and self._recording is None:
+            out = stepper.run(
+                self.rng, self._flat, self._active_rows, rounds, record, timed
+            )
+            if timed:
+                decoded = float(stepper.stamp[0])
+            if out is not None and out[2] is None:
+                out = (*out[:2], self._pi_common, *out[3:])
+        else:
+            plan = self._plan_block(rounds)
+            if timed:
+                decoded = time.perf_counter()
+            out = self._block_exec(self._flat, plan, self.alpha, record)
+            if out is not None:
+                out = (plan.write_idx, plan.keep, plan.weights, *out)
+            METRICS.peak("engine.plan_peak_bytes", plan.nbytes)
+        if timed:
+            tracer.add_time("engine.time.plan_s", decoded - start)
+            tracer.add_time("engine.time.execute_s", time.perf_counter() - decoded)
+        # Per-block work accounting (never per round).
         METRICS.count("engine.replica_steps", rounds * self.num_active)
         METRICS.count("engine.rng_blocks")
         METRICS.count(f"engine.blocks.{self.kernel}")
-        METRICS.peak("engine.plan_peak_bytes", plan.nbytes)
+        return out
 
     def run_until_phi(self, epsilon: float, max_steps: int) -> np.ndarray:
         """Per-replica ``T_eps``: step until every replica has ``phi <= eps``.
@@ -597,13 +667,11 @@ class BatchAveragingProcess(abc.ABC):
             rounds = self._block_size(max_steps - (self.t - start))
             rounds = min(rounds, _RESYNC_EVERY - self._rounds_since_resync)
             rows = self._active_rows
-            plan = self._plan_block(rounds)
-            old_blk, new_blk = self._block_exec(self._flat, plan, self.alpha, True)
-            self._count_block(rounds, plan)
+            write_idx, keep, weights, old_blk, new_blk = self._advance(rounds, True)
             self.t += rounds
             self._rounds_since_resync += rounds
 
-            d1 = plan.weights * (new_blk - old_blk)
+            d1 = weights * (new_blk - old_blk)
             d2 = d1 * (new_blk + old_blk)
             traj1 = np.empty((rounds + 1, rows.size))
             traj1[0] = self._s1[rows]
@@ -629,7 +697,8 @@ class BatchAveragingProcess(abc.ABC):
                 done = rows[crossed]
                 hit[done] = (self.t - rounds - start) + first[crossed] + 1
                 self._rewind_crossed(
-                    plan, old_blk, traj1, traj2, rows, crossed, first, resynced
+                    write_idx, keep, old_blk, traj1, traj2, rows, crossed,
+                    first, resynced,
                 )
                 self.freeze(done)
             if tracer.enabled:
@@ -644,7 +713,8 @@ class BatchAveragingProcess(abc.ABC):
 
     def _rewind_crossed(
         self,
-        plan: BlockPlan,
+        write_idx: np.ndarray,
+        keep: np.ndarray | None,
         old_blk: np.ndarray,
         traj1: np.ndarray,
         traj2: np.ndarray,
@@ -668,12 +738,11 @@ class BatchAveragingProcess(abc.ABC):
         """
         flat = self._flat
         rounds = old_blk.shape[0]
-        keep = plan.keep
         for j in np.flatnonzero(crossed):
             cut = first[j] + 1
             if cut < rounds:
                 undo = slice(rounds - 1, cut - 1, -1)
-                write = plan.write_idx[undo, j]
+                write = write_idx[undo, j]
                 values = old_blk[undo, j]
                 if keep is not None:
                     mask = keep[undo, j]
@@ -879,10 +948,25 @@ class BatchNodeModel(BatchAveragingProcess):
                 self.adjacency, k, self._backend_name
             )
         self.k = self._sampler.k
+        self._init_stepper()
 
     def _activate_snapshot(self, snapshot_id: int) -> None:
         super()._activate_snapshot(snapshot_id)
         self._sampler = self._samplers[snapshot_id]
+
+    def _bind_stepper(self) -> None:
+        sampler = self._sampler
+        pi = None if self._pi_common is not None else self._pi
+        if isinstance(sampler, DenseBackend):
+            self._stepper.bind(
+                degrees=sampler._degrees, table=sampler._table_flat,
+                stride=sampler.d_max, pi=pi,
+            )
+        else:
+            self._stepper.bind(
+                degrees=sampler._degrees, table=sampler._neighbors,
+                offsets=sampler._offsets, pi=pi,
+            )
 
     def _select_batch(self, rows, row_offsets):
         if self.k == 1:
@@ -970,10 +1054,17 @@ class BatchEdgeModel(BatchAveragingProcess):
             self._edges = None
             self._tails = self.adjacency.edge_tails
             self._heads = self.adjacency.edge_heads
+        self._init_stepper()
 
     def _activate_snapshot(self, snapshot_id: int) -> None:
         super()._activate_snapshot(snapshot_id)
         self._tails, self._heads = self._edges[snapshot_id]
+
+    def _bind_stepper(self) -> None:
+        self._stepper.bind(
+            tails=self._tails, heads=self._heads,
+            pi=None if self._pi_common is not None else self._pi,
+        )
 
     def _select_batch(self, rows, row_offsets):
         edges = self.rng.integers(len(self._tails), size=rows.size)

@@ -419,11 +419,12 @@ def _run_shard_checkpoints(
 def _traced_worker(worker, spec: EngineSpec, replicas: int, seed, args):
     """Run ``worker`` in a child process under its own tracer.
 
-    Returns ``(result, span_payloads, counter_delta)``: the worker's
-    spans travel back through the ordinary shard-result plumbing and are
-    re-attached under the parent's shard span; the counter delta (taken
-    against a baseline so pool-reused workers never double-count) is
-    folded into the parent's registry.
+    Returns ``(result, span_payloads, counter_delta, timers)``: the
+    worker's spans travel back through the ordinary shard-result
+    plumbing and are re-attached under the parent's shard span; the
+    counter delta (taken against a baseline so pool-reused workers never
+    double-count) is folded into the parent's registry and the timers
+    into the parent's tracer.
     """
     baseline = METRICS.snapshot()
     tracer = Tracer()
@@ -431,7 +432,12 @@ def _traced_worker(worker, spec: EngineSpec, replicas: int, seed, args):
         "engine.worker", pid=os.getpid(), replicas=replicas
     ):
         out = worker(spec, replicas, seed, *args)
-    return out, tracer.to_payload(), METRICS.delta(baseline)["counters"]
+    return (
+        out,
+        tracer.to_payload(),
+        METRICS.delta(baseline)["counters"],
+        tracer.timers,
+    )
 
 
 def _run_sharded(
@@ -486,7 +492,7 @@ def _run_sharded(
                 with tracer.span(
                     "engine.shard", shard=index, replicas=sizes[index]
                 ) as handle:
-                    out, span_payloads, counters = future.result()
+                    out, span_payloads, counters, timers = future.result()
                 METRICS.gauge("engine.shard_seconds", time.perf_counter() - t0)
                 worker_spans = [Span.from_payload(p) for p in span_payloads]
                 tracer.attach(handle.span, worker_spans, handle.span.start)
@@ -494,6 +500,8 @@ def _run_sharded(
                     handle.add(worker_s=worker_spans[0].duration)
                 for name, value in counters.items():
                     METRICS.count(name, value)
+                for name, value in timers.items():
+                    tracer.add_time(name, value)
                 parts.append(out)
     return np.concatenate(parts)
 

@@ -20,13 +20,18 @@ advances a batch by *blocks of R rounds per Python call*:
     per-round inner loop shrinks to four NumPy dispatches — one fused
     gather, one multiply, one add, one scatter.
 ``"jit"``
-    A C loop (``_blockloop.c``) that consumes the same pre-drawn
-    variates and precomputed index blocks in one call per block, so a
-    round costs no NumPy dispatch at all.  It is compiled on first use
-    with the system C compiler and loaded through ``ctypes`` (see
-    :func:`load_blockloop`).  It covers the packed path for every ``k``
-    and the lazy ``k = 1`` path; lazy ``k > 1`` runs the fused kernel
-    per call.  Without a compiler ``"jit"`` falls back to ``"fused"``.
+    A compiled C loop (``_blockloop.c``), built on first use with the
+    system C compiler and loaded through ``ctypes`` (see
+    :func:`load_blockloop`).  For node ``k = 1``, node ``k = 2``, the
+    edge model and lazy ``k = 1`` (:class:`BlockStepper`) a block is one
+    uniform draw in NumPy plus one C call that decodes the selections
+    from those uniforms with the fused decode's double operations and
+    then runs the rounds — no index arrays are built in NumPy at all.
+    The other shapes (``k > 2``, and every shape while selections are
+    recorded) keep the fused kernel's NumPy decode and
+    :class:`BlockPlan`, executed in C by :func:`run_block_jit`; lazy
+    ``k > 1`` runs the fused kernel per call.  Without a compiler
+    ``"jit"`` falls back to ``"fused"``.
 
 ``kernel="auto"`` resolves to ``"jit"`` when the compiled loop loads and
 to ``"fused"`` otherwise.
@@ -61,14 +66,16 @@ realized trajectory depends on the block size; its hitting times remain
 exact for the trajectory actually run.)
 
 The executors below receive a fully precomputed :class:`BlockPlan` and
-only perform the value-dependent work.  In record mode they return the
-per-round ``(old, new)`` values of every updated entry, from which the
-caller derives the exact per-round moment increments
+only perform the value-dependent work; :class:`BlockStepper` decodes
+and executes in one call.  In record mode both return the per-round
+``(old, new)`` values of every updated entry, from which the caller
+derives the exact per-round moment increments
 ``(d1, d2) = (pi_u * (new - old), d1 * (new + old))`` — the inputs to
 chunked convergence detection (see ``BatchAveragingProcess.run_until_phi``
 for the backdating math).  Fused and jit kernels perform bit-identical
-IEEE operations, so a fixed seed yields bit-identical trajectories
-across the two.
+IEEE operations on the same uniforms, so a fixed seed yields
+bit-identical trajectories across the two; the fused NumPy decode is
+the jit decode's oracle.
 """
 
 from __future__ import annotations
@@ -363,10 +370,19 @@ def load_blockloop(compiler=None, cache_dir=None):
                     os.unlink(tmp)
         library = ctypes.CDLL(path)
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-        library.block_cat.argtypes = [ptr, i64, ptr, ptr, i64, i64, i64, ptr, ptr, ptr]
+        library.block_cat.argtypes = [
+            ptr, i64, ptr, i64, i64, i64, f64, f64, ptr, ptr, ptr,
+        ]
         library.block_lazy.argtypes = [
             ptr, i64, ptr, ptr, ptr, f64, f64, i64, i64, ptr, ptr, ptr,
         ]
+        library.block_step.argtypes = [
+            ptr, i64, i64, ptr, ptr, i64, i64, i64, i64, ptr, i64, ptr, i64,
+            ptr, ptr, ptr, i64, f64, f64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+            ptr,
+        ]
+        for entry in (library.block_cat, library.block_lazy, library.block_step):
+            entry.restype = ctypes.c_int
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
     return library
@@ -398,16 +414,16 @@ def _c_array(array, dtype, shape) -> bool:
 def run_block_jit(
     flat: np.ndarray, plan: BlockPlan, alpha: float, record: bool
 ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Execute one block with the compiled C loop (fused fallback).
+    """Execute one precomputed plan with the compiled C loop (fused fallback).
 
-    Consumes the same precomputed plan — hence the same pre-drawn
-    variates in the same order — as :func:`run_block_fused`, and
-    performs the identical IEEE operations per entry, so trajectories
-    are bit-identical across the two kernels at a fixed seed.  Shapes
-    without a compiled loop (lazy ``k > 1``, whose neighbour mean
-    follows NumPy's reduction order), plans whose arrays are not
-    C-contiguous of the expected dtype, and environments without the
-    library fall back to the fused kernel per call.
+    The jit kernel's path for the shapes :class:`BlockStepper` does not
+    decode (``k > 2``, and recorded selections).  It performs the same
+    IEEE operations per entry as :func:`run_block_fused` on the same
+    plan, so trajectories are bit-identical across the two kernels at a
+    fixed seed.  Shapes without a compiled loop (lazy ``k > 1``, whose
+    neighbour mean follows NumPy's reduction order), plans whose arrays
+    are not C-contiguous of the expected dtype, and environments without
+    the library fall back to the fused kernel per call.
     """
     loop = _blockloop()
     R, A = plan.write_idx.shape
@@ -416,9 +432,8 @@ def run_block_jit(
     ):
         return run_block_fused(flat, plan, alpha, record)
     if plan.cat_idx is not None:
-        width = (plan.k + 1) * A
-        arrays = (plan.cat_idx, plan.coef)
-        layout = ((np.int64, (R, width)), (np.float64, (width,)))
+        arrays = (plan.cat_idx,)
+        layout = ((np.int64, (R, (plan.k + 1) * A)),)
     elif plan.k == 1 and plan.keep is not None:
         arrays = (plan.write_idx, plan.gather_idx, plan.keep)
         layout = ((np.int64, (R, A)), (np.int64, (R, A)), (np.bool_, (R, A)))
@@ -441,7 +456,8 @@ def run_block_jit(
     pointers = [array.ctypes.data for array in arrays]
     if plan.cat_idx is not None:
         status = loop.block_cat(
-            flat.ctypes.data, flat.size, *pointers, R, A, plan.k, *out
+            flat.ctypes.data, flat.size, *pointers, R, A, plan.k,
+            (1.0 - alpha) / plan.k, alpha, *out,
         )
     else:
         status = loop.block_lazy(
@@ -457,6 +473,180 @@ def run_block_jit(
             f"(min {low}, max {high})"
         )
     return (old_blk, new_blk) if record else None
+
+
+class BlockStepper:
+    """The jit kernel's one-call blocks: decode and execute in C.
+
+    Serves one batch of node ``k = 1``, node ``k = 2``, edge or lazy
+    ``k = 1`` replicas.  A block is one ``rng.random`` fill of the
+    ``(R, B)`` uniforms — the fused kernel's draw, so the stream is
+    unchanged — and one ``block_step`` call that decodes the active
+    columns in place, range-checks every decoded index and runs the
+    rounds.  The buffers (uniforms, the decoded indices in
+    ``block_cat``'s packed layout, lazy coins, pi weights and the record
+    outputs) belong to the stepper and are reused from block to block,
+    growing only when a block needs more.  :meth:`bind` installs a graph
+    snapshot's sampling source.
+
+    :attr:`nbytes` is the plan memory held — uniforms, decoded indices,
+    coins and weights; the record outputs and the row scratch are the
+    executor's, as for fused — and is reported to
+    ``engine.plan_peak_bytes`` whenever it grows.
+    """
+
+    _PLAN_BUFFERS = ("u", "index", "keep", "weights")
+
+    def __init__(self, loop, replicas: int, n: int, k: int, lazy: bool,
+                 alpha: float) -> None:
+        self._step = loop.block_step
+        self.replicas = replicas
+        self.n = n
+        self.k = k
+        self.lazy = lazy
+        self.alpha = alpha
+        self.beta_k = (1.0 - alpha) / k
+        self._buffers: dict = {}
+        self._pointers: dict = {}
+        self.nbytes = 0
+        self._flat = self._rows = None
+        self._flat_ptr = self._rows_ptr = None
+        self._source: tuple = ()
+        self._pi = None
+        self._pi_ptr = None
+        self.stamp = np.zeros(1)
+        self._stamp_ptr = self.stamp.ctypes.data
+
+    def bind(self, *, degrees=None, table=None, stride=0, offsets=None,
+             tails=None, heads=None, pi=None) -> None:
+        """Install a snapshot's sampling source.
+
+        The node model passes its ``degrees`` and either the dense
+        ``(n, stride)`` neighbour ``table`` (flattened) or the CSR
+        ``table`` of neighbours with their ``offsets``; the edge model
+        passes ``tails`` and ``heads``.  ``pi`` (irregular graphs only)
+        yields the record-mode weights.  Every array must be a
+        C-contiguous vector of its dtype and of the length the C loop
+        indexes (``table`` is bounded by its own size): the loop reads
+        them in place.
+        """
+        edges = None if tails is None else tails.size
+        arrays = {"degrees": (degrees, self.n), "table": (table, None),
+                  "offsets": (offsets, self.n + 1), "tails": (tails, edges),
+                  "heads": (heads, edges)}
+        for name, (array, size) in arrays.items():
+            if array is not None and not _c_array(
+                array, np.int64, (array.size if size is None else size,)
+            ):
+                raise ParameterError(
+                    f"{name} must be a C-contiguous int64 vector"
+                    + ("" if size is None else f" of length {size}")
+                )
+        if pi is not None and not _c_array(pi, np.float64, (self.n,)):
+            raise ParameterError(
+                f"pi must be a C-contiguous float64 vector of length {self.n}"
+            )
+        pointer = _pointer
+        self._source = (
+            pointer(table), int(stride), pointer(offsets),
+            0 if table is None else table.size, pointer(degrees),
+            pointer(tails), pointer(heads), 0 if tails is None else tails.size,
+        )
+        # The pointers are only valid while the arrays live.
+        self._arrays = arrays
+        self._pi = pi
+        self._pi_ptr = pointer(pi)
+
+    def _buffer(self, name: str, count: int, dtype):
+        """A reusable buffer of at least ``count`` entries and its address."""
+        array = self._buffers.get(name)
+        if array is None or array.size < count:
+            array = self._buffers[name] = np.empty(count, dtype)
+            self._pointers[name] = array.ctypes.data
+            if name in self._PLAN_BUFFERS:
+                self.nbytes = sum(
+                    self._buffers[plan].nbytes for plan in self._PLAN_BUFFERS
+                    if plan in self._buffers
+                )
+                METRICS.peak("engine.plan_peak_bytes", self.nbytes)
+        return array, self._pointers[name]
+
+    def run(self, rng, flat, rows, rounds: int, record: bool, timed: bool):
+        """Advance ``rows`` of ``flat`` by one ``rounds``-round block.
+
+        Returns ``None`` in plain mode, else ``(write_idx, keep,
+        weights, old, new)`` as ``(R, A)`` views of the stepper's
+        buffers (``keep`` and ``weights`` ``None`` when the shape has
+        none), valid until the next block.  With ``timed``, ``stamp[0]``
+        receives the ``perf_counter`` time at which decoding ended.
+        """
+        B = self.replicas
+        A = rows.size
+        cells = rounds * A
+        width = (self.k + 1) * A
+        if flat is not self._flat:
+            if not (_c_array(flat, np.float64, (B * self.n,))
+                    and flat.flags.writeable):
+                raise ParameterError("flat must be a writeable float64 vector")
+            self._flat, self._flat_ptr = flat, flat.ctypes.data
+        if rows is not self._rows:
+            full = A == B
+            if not (full or _c_array(rows, np.int64, (A,))):
+                raise ParameterError("rows must be a C-contiguous int64 vector")
+            self._rows, self._rows_ptr = rows, None if full else rows.ctypes.data
+        u, u_ptr = self._buffer("u", rounds * B, np.float64)
+        rng.random(out=u if u.size == rounds * B else u[: rounds * B])
+        index, index_ptr = self._buffer("index", rounds * width, np.int64)
+        keep = keep_ptr = weights = weights_ptr = None
+        if self.lazy:
+            keep, keep_ptr = self._buffer("keep", cells, np.uint8)
+        if record:
+            if self._pi is not None:
+                weights, weights_ptr = self._buffer("weights", cells, np.float64)
+            old, old_ptr = self._buffer("old", cells, np.float64)
+            new, new_ptr = self._buffer("new", cells, np.float64)
+            scratch_ptr = None
+        else:
+            old_ptr = new_ptr = None
+            _, scratch_ptr = self._buffer("scratch", A, np.float64)
+        status = self._step(
+            self._flat_ptr, self.n, B, u_ptr, self._rows_ptr, A, rounds,
+            self.k, self.lazy, *self._source, self.alpha, self.beta_k,
+            self._pi_ptr, index_ptr, keep_ptr, weights_ptr, scratch_ptr,
+            old_ptr, new_ptr, self._stamp_ptr if timed else None,
+        )
+        if status:
+            raise IndexError(
+                f"decoded selection out of range of the {self.n}-node state "
+                "or its sampling source"
+            )
+        if not record:
+            return None
+        shape = (rounds, A)
+        return (
+            index[: rounds * width].reshape(rounds, width)[:, self.k * A:],
+            None if keep is None else keep[:cells].view(np.bool_).reshape(shape),
+            None if weights is None else weights[:cells].reshape(shape),
+            old[:cells].reshape(shape),
+            new[:cells].reshape(shape),
+        )
+
+
+def _pointer(array) -> int | None:
+    return None if array is None else array.ctypes.data
+
+
+def make_block_stepper(kernel: str, replicas: int, n: int, k: int,
+                       lazy: bool, alpha: float) -> BlockStepper | None:
+    """The one-call decode-and-execute path, or ``None`` where a block
+    goes through a :class:`BlockPlan`: kernels other than ``"jit"``,
+    ``k > 2`` and lazy ``k > 1``."""
+    if kernel != "jit" or k > 2 or (lazy and k > 1):
+        return None
+    loop = _blockloop()
+    if loop is None:
+        return None
+    return BlockStepper(loop, replicas, n, k, lazy, alpha)
 
 
 #: Effective kernel name -> block executor.

@@ -10,7 +10,8 @@ JSON-serialisable dict — the ``telemetry`` block attached to
   "schema": 1,
   "spans": [...span tree...],      "dropped_spans": 0,
   "counters": {...run-scoped...},  "gauges": {...}, "peaks": {...},
-  "streams": {"series": {...}, "histograms": {...}}
+  "streams": {"series": {...}, "histograms": {...}},
+  "timers": {"engine.time.plan_s": ..., "engine.time.execute_s": ...}
 }
 ```
 
@@ -54,6 +55,7 @@ def build_telemetry(
         "gauges": dict(counters.get("gauges", {})),
         "peaks": dict(counters.get("peaks", {})),
         "streams": tracer.streams.to_payload(),
+        "timers": dict(tracer.timers),
     }
 
 
@@ -114,10 +116,12 @@ def summarize(telemetry: Mapping[str, Any], top: int = 12) -> dict:
     """Aggregate a telemetry block for human consumption.
 
     Returns ``{"wall_s", "span_count", "depth", "top_spans", "cache",
-    "kernel", "shards"}`` where ``top_spans`` aggregates by span name
-    (calls, total, self time) sorted by self time, ``cache`` reports the
-    hit/miss/byte counters, ``kernel`` the dispatch counters, and
-    ``shards`` the balance statistics over ``engine.shard`` spans.
+    "kernel", "engine_time", "shards"}`` where ``top_spans`` aggregates
+    by span name (calls, total, self time) sorted by self time, ``cache``
+    reports the hit/miss/byte counters, ``kernel`` the dispatch counters,
+    ``engine_time`` the block kernels' plan/execute split (timers
+    ``engine.time.*``), and ``shards`` the balance statistics over
+    ``engine.shard`` spans.
     """
     roots = _spans(telemetry)
     by_name: Dict[str, dict] = {}
@@ -183,6 +187,11 @@ def summarize(telemetry: Mapping[str, Any], top: int = 12) -> dict:
             for name, value in sorted(counters.items())
             if name.startswith("engine.blocks.")
         },
+        "engine_time": {
+            name.removeprefix("engine.time."): value
+            for name, value in sorted(telemetry.get("timers", {}).items())
+            if name.startswith("engine.time.")
+        },
         "counters": dict(counters),
         "peaks": dict(telemetry.get("peaks", {})),
         "shards": shards,
@@ -223,6 +232,12 @@ def render_summary(summary: Mapping[str, Any]) -> str:
             f"{name}={int(value)}" for name, value in summary["kernel"].items()
         )
         lines.append(f"kernel blocks  {dispatches}")
+    if summary.get("engine_time"):
+        split = ", ".join(
+            f"{name.removesuffix('_s')} {value * 1e3:.1f}ms"
+            for name, value in summary["engine_time"].items()
+        )
+        lines.append(f"engine time    {split}")
     for name, value in summary.get("peaks", {}).items():
         lines.append(f"peak           {name} = {value:.0f}")
     shards = summary.get("shards")

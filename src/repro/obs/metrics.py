@@ -39,8 +39,11 @@ Conventions
 * **Peaks** hold the high-water mark: ``engine.state_peak_bytes`` — the
   estimated peak footprint of live ``(B, n)`` / ``(B, n, r)`` state,
   the adaptive-governor input named in the ROADMAP — and
-  ``engine.plan_peak_bytes``, the largest block plan's index, weight
-  and coin arrays (``BlockPlan.nbytes``), set once per block.
+  ``engine.plan_peak_bytes``, the block plan memory held: a
+  NumPy-planned block's index, weight and coin arrays
+  (``BlockPlan.nbytes``, set once per block), or, on the jit kernel's
+  one-call path, the batch's reused uniform, decoded-index, coin and
+  weight buffers (``BlockStepper.nbytes``, set whenever they grow).
 """
 
 from __future__ import annotations

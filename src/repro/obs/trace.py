@@ -24,6 +24,11 @@ relative to the tracer's creation so traces from different processes
 can be merged by shifting their roots (see
 :meth:`Span.shifted`, used by the multiprocessing driver).
 
+Timers (:meth:`Tracer.add_time`) accumulate seconds per name for work
+too fine-grained for spans — the engine's per-block plan and execute
+times.  They live on the tracer, not in the metric registry, so a
+traced run's counters stay identical to an untraced run's.
+
 Thread safety: each thread keeps its own open-span stack; finished root
 spans append to the shared forest under a lock.  A ``max_spans`` budget
 bounds memory on pathological workloads — further spans still time
@@ -176,6 +181,7 @@ class Tracer:
         self.dropped = 0
         self.roots: List[Span] = []
         self.streams = StreamSet()
+        self.timers: Dict[str, float] = {}
         self._t0 = time.perf_counter()
         self._lock = threading.Lock()
         self._local = threading.local()
@@ -257,6 +263,12 @@ class Tracer:
         """Append one ``(t, value)`` sample when enabled, else no-op."""
         if self.enabled:
             self.streams.series(series).append(t, value)
+
+    def add_time(self, name: str, seconds: float) -> None:
+        """Add ``seconds`` to the timer ``name`` when enabled, else no-op."""
+        if self.enabled:
+            with self._lock:
+                self.timers[name] = self.timers.get(name, 0.0) + seconds
 
     # ------------------------------------------------------------------
     # Inspection

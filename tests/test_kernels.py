@@ -24,6 +24,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.edge_model import EdgeModel
 from repro.core.initial import center_simple, rademacher_values
@@ -394,6 +396,230 @@ class TestLazyPlanLayout:
         assert plan.write_idx.shape[1] == 4
         for array in (plan.write_idx, plan.gather_idx, plan.keep):
             assert array.flags.c_contiguous
+
+
+#: (model, k, lazy) shapes the jit kernel decodes and executes in one C
+#: call per block (BlockStepper).
+STEPPER_SHAPES = [("node", 1, False), ("node", 2, False), ("node", 1, True),
+                  ("edge", 1, False), ("edge", 1, True)]
+
+
+def _stepper_graph(kind):
+    """Graphs with n not a power of two; star and lollipop have leaves of
+    degree 1, so they only carry the k = 1 shapes."""
+    import networkx as nx
+
+    if kind == "star":
+        return nx.star_graph(20)
+    if kind == "lollipop":
+        return nx.lollipop_graph(8, 5)
+    if kind == "er":
+        return nx.gnp_random_graph(27, 0.25, seed=1)
+    if kind == "regular":
+        return random_regular_graph(30, 5, seed=1)
+    # A switch between two irregular snapshots changes pi mid-run.
+    return CyclicSchedule(
+        [nx.gnp_random_graph(27, 0.25, seed=s) for s in (1, 4)], 23
+    )
+
+
+def _stepper_twins(model, k, lazy, graph, backend="auto", replicas=7, seed=5):
+    """The same batch under the fused and the jit kernel."""
+    if isinstance(graph, CyclicSchedule):
+        n = graph.snapshots[0].n
+    else:
+        n = graph.number_of_nodes()
+    values = np.random.default_rng(seed).normal(size=n)
+    cls, extra = (
+        (BatchNodeModel, {"k": k}) if model == "node" else (BatchEdgeModel, {})
+    )
+    fused, jit = (
+        cls(graph, values, 0.4, replicas=replicas, seed=seed, lazy=lazy,
+            backend=backend, kernel=kernel, **extra)
+        for kernel in ("fused", "jit")
+    )
+    assert fused._stepper is None and jit._stepper is not None
+    return fused, jit
+
+
+def _assert_twins_agree(fused, jit, block_rounds, frozen, epsilon=1e-6):
+    """Plain blocks, then frozen rows, then record blocks (run_until_phi):
+    values, hitting times and the frozen states agree bit for bit."""
+    hits = []
+    for batch in (fused, jit):
+        batch.block_rounds = block_rounds
+        batch.run(100)
+        batch.freeze(frozen)
+        batch.run(61)
+        hits.append(batch.run_until_phi(epsilon, 200_000))
+    np.testing.assert_array_equal(hits[0], hits[1])
+    np.testing.assert_array_equal(fused.values, jit.values)
+    np.testing.assert_array_equal(fused.phi, jit.phi)
+    assert fused.t == jit.t
+
+
+@needs_jit
+class TestBlockStepper:
+    """The jit kernel's one-call blocks decode exactly as fused does."""
+
+    @pytest.mark.parametrize("backend", ["dense", "csr"])
+    @pytest.mark.parametrize(
+        "model, k, lazy, graph",
+        [
+            (model, k, lazy, graph)
+            for model, k, lazy in STEPPER_SHAPES
+            for graph in ("star", "lollipop", "er", "regular", "schedule")
+            if k == 1 or graph not in ("star", "lollipop")
+        ],
+    )
+    def test_bit_identical_to_fused(self, model, k, lazy, graph, backend):
+        fused, jit = _stepper_twins(
+            model, k, lazy, _stepper_graph(graph), backend
+        )
+        # 37 divides neither 100 nor 61, nor the schedule's switch period.
+        _assert_twins_agree(fused, jit, 37, [1, 4])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(5, 40),
+        seed=st.integers(0, 2**16),
+        shape=st.sampled_from(STEPPER_SHAPES),
+        backend=st.sampled_from(["dense", "csr"]),
+        block_rounds=st.integers(1, 300),
+        frozen=st.sets(st.integers(0, 5), max_size=6),
+    )
+    def test_property_bit_identical(
+        self, n, seed, shape, backend, block_rounds, frozen
+    ):
+        import networkx as nx
+
+        model, k, lazy = shape
+        graph = nx.connected_watts_strogatz_graph(n, 4, 0.3, seed=seed)
+        assume(min(d for _, d in graph.degree) >= k)
+        fused, jit = _stepper_twins(
+            model, k, lazy, graph, backend, replicas=6, seed=seed
+        )
+        _assert_twins_agree(fused, jit, block_rounds, sorted(frozen))
+
+    @pytest.mark.parametrize("model, k, lazy", STEPPER_SHAPES)
+    def test_eligible_shapes_never_plan_in_numpy(self, monkeypatch, model, k, lazy):
+        import repro.engine.batch as batch_mod
+        import repro.engine.selection as selection_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the block was planned in NumPy")
+
+        for module in (batch_mod, selection_mod):
+            monkeypatch.setattr(module, "draw_node_block", forbidden)
+            monkeypatch.setattr(module, "draw_edge_block", forbidden)
+        monkeypatch.setattr(
+            batch_mod.BatchAveragingProcess, "_pack_plan", forbidden
+        )
+        _, jit = _stepper_twins(model, k, lazy, _stepper_graph("er"))
+        jit.run(300)
+        assert (jit.run_until_phi(1e-6, 200_000) > 0).all()
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("backend", ["dense", "csr"])
+    def test_corrupted_source_raises_before_any_write(
+        self, regular64, values64, backend, record
+    ):
+        import copy
+
+        batch = BatchNodeModel(
+            regular64, values64, alpha=0.5, k=1, replicas=4, seed=5,
+            backend=backend, kernel="jit",
+        )
+        batch.block_rounds = 64
+        batch.run(3)
+        # Corrupt the node replica 0 selects in the block's last round,
+        # so a per-round check would have written rounds before it.
+        u = copy.deepcopy(batch.rng).random((64, 4))
+        node = int(u[-1, 0] * 64)
+        sampler = batch._sampler
+        if backend == "dense":
+            table = sampler._table_flat.copy()
+            table[node * sampler.d_max:(node + 1) * sampler.d_max] = -1
+            batch._stepper.bind(
+                degrees=sampler._degrees, table=table, stride=sampler.d_max
+            )
+        else:
+            offsets = sampler._offsets.copy()
+            offsets[node] = sampler._neighbors.size
+            batch._stepper.bind(
+                degrees=sampler._degrees, table=sampler._neighbors,
+                offsets=offsets,
+            )
+        before = batch.values.copy()
+        with pytest.raises(IndexError):
+            if record:
+                batch.run_until_phi(1e-12, 64)
+            else:
+                batch.run(64)
+        np.testing.assert_array_equal(batch.values, before)
+        assert batch.t == 3
+
+    def test_corrupted_edge_list_raises_before_any_write(
+        self, regular64, values64
+    ):
+        batch = BatchEdgeModel(
+            regular64, values64, alpha=0.5, replicas=4, seed=5, kernel="jit"
+        )
+        heads = batch._heads.copy()
+        heads[-1] = 64
+        batch._stepper.bind(tails=batch._tails, heads=heads)
+        before = batch.values.copy()
+        with pytest.raises(IndexError):
+            batch.run(256)
+        np.testing.assert_array_equal(batch.values, before)
+
+    @pytest.mark.parametrize("kernel", ["fused", "jit"])
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copied_batch_runs_on_its_own_state(
+        self, regular64, values64, how, kernel
+    ):
+        """A copy steps its own values: the jit stepper's raw pointers
+        and the flat view are rebuilt, never shared with the original."""
+        import copy
+        import pickle
+
+        batch = BatchNodeModel(
+            regular64, values64, alpha=0.5, k=2, replicas=4, seed=5,
+            kernel=kernel,
+        )
+        batch.run(30)
+        if how == "deepcopy":
+            clone = copy.deepcopy(batch)
+        else:
+            clone = pickle.loads(pickle.dumps(batch))
+        before = batch.values.copy()
+        clone.run(300)
+        np.testing.assert_array_equal(batch.values, before)
+        assert (clone._stepper is None) == (kernel == "fused")
+        assert clone._stepper is None or clone._stepper is not batch._stepper
+        batch.run(300)
+        np.testing.assert_array_equal(clone.values, batch.values)
+
+    def test_recording_and_wide_subsets_keep_the_plan_path(
+        self, regular64, values64
+    ):
+        """Selection recording and k > 2 still plan in NumPy (the
+        oracle path), and record the same selections as fused."""
+        recorded = []
+        for kernel in ("fused", "jit"):
+            batch = BatchNodeModel(
+                regular64, values64, alpha=0.5, k=1, replicas=3, seed=5,
+                kernel=kernel,
+            )
+            batch.record_selections()
+            batch.run(50)
+            recorded.append(batch.recorded_selections())
+        np.testing.assert_array_equal(recorded[0].nodes, recorded[1].nodes)
+        np.testing.assert_array_equal(recorded[0].picked, recorded[1].picked)
+        wide = BatchNodeModel(
+            regular64, values64, alpha=0.5, k=3, replicas=3, kernel="jit"
+        )
+        assert wide._stepper is None
 
 
 class TestBlockLoopLoader:

@@ -337,10 +337,13 @@ class TestEngineTracing:
         assert all(
             any(c.name == "engine.worker" for c in s.children) for s in shards
         )
-        # worker counters fold back into the parent registry
+        # worker counters fold back into the parent registry, and the
+        # workers' engine timers into the parent tracer
         counters = METRICS.delta(baseline)["counters"]
         assert counters["engine.replica_steps"] > 0
         assert counters["engine.blocks.fused"] >= 4
+        assert tracer.timers["engine.time.plan_s"] > 0
+        assert tracer.timers["engine.time.execute_s"] > 0
 
     def test_cache_spans_and_hit_counters(self, tmp_path):
         spec = _spec()
@@ -454,6 +457,47 @@ class TestApiTelemetry:
         batch.run(40)
         peaks = METRICS.delta(baseline)["peaks"]
         assert peaks["engine.plan_peak_bytes"] == 40 * 16 * 8 + 16 * 8
+
+    @pytest.mark.skipif(
+        kernels_mod.resolve_kernel("auto") != "jit",
+        reason="no C compiler for the jit loop",
+    )
+    def test_plan_peak_counts_the_stepper_buffers(self):
+        """The jit counterpart: the (R, B) float64 uniforms plus the
+        (R, 2A) int64 decoded-index scratch, held once and reused by
+        every block of the batch."""
+        baseline = METRICS.snapshot()
+        batch = BatchNodeModel(
+            nx.cycle_graph(12), np.arange(12.0), 0.5, replicas=8, seed=1,
+            kernel="jit",
+        )
+        batch.run(40)
+        buffers = dict(batch._stepper._buffers)
+        batch.run(40)
+        assert all(batch._stepper._buffers[name] is buffer
+                   for name, buffer in buffers.items())
+        peaks = METRICS.delta(baseline)["peaks"]
+        assert peaks["engine.plan_peak_bytes"] == 40 * 8 * 8 + 40 * 16 * 8
+
+    def test_engine_timers_split_plan_and_execute(self):
+        """A traced run times each block's plan and execute on the
+        tracer; the counters stay work counts."""
+        result = execute(RunSpec(
+            "EXP-T222", overrides={"n": 16, "replicas": 8, "tol": 1e-3},
+            trace=True,
+        ))
+        timers = result.telemetry["timers"]
+        assert timers["engine.time.plan_s"] > 0
+        assert timers["engine.time.execute_s"] > 0
+        assert not any(
+            name.startswith("engine.time") for name in result.telemetry["counters"]
+        )
+        summary = summarize(result.telemetry)
+        assert summary["engine_time"] == {
+            "execute_s": timers["engine.time.execute_s"],
+            "plan_s": timers["engine.time.plan_s"],
+        }
+        assert "engine time    execute " in render_summary(summary)
 
     def test_plan_peak_does_not_leak_between_runs(self):
         def peak(spec):
