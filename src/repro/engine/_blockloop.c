@@ -19,6 +19,10 @@
  * old_blk selects plain mode; otherwise old_blk and new_blk receive each
  * round's (old, new) written values, and new_blk doubles as the
  * per-round scratch.
+ *
+ * detect_block is run_until_phi's detection pass over such a recorded
+ * block: it folds the per-round moment increments and finds each
+ * replica's first round with phi <= epsilon, for every block kernel.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -253,6 +257,63 @@ int block_step(double *flat, int64_t n, int64_t replicas, const double *u,
     } else {
         execute_cat(flat, index, rounds, active, k, beta_k, alpha, scratch,
                     old_blk, new_blk);
+    }
+    return 0;
+}
+
+/* Convergence detection over one recorded block (run_until_phi).
+ *
+ * old_blk and new_blk hold the block's (rounds, active) written values;
+ * the pi weight of each written entry is weights[r * active + j], or the
+ * scalar weight when weights is NULL (then weights_count must be 0,
+ * otherwise rounds * active).  Per column, in round order, it folds
+ *
+ *     d1 = w * (new - old),  d2 = d1 * (new + old)
+ *
+ * into s1 and s2 (the pre-block moments on entry, the post-block moments
+ * on return) with the operations of the NumPy fold: one multiply per
+ * increment and one add per round, so the sums are the seeded cumsum's.
+ * Among the first `scan` rounds, first[j] receives the first round whose
+ * phi = s2 - s1 * s1 is <= epsilon (-1 if none; a NaN phi never counts)
+ * and cross1/cross2 the moments just after it.  phi_last receives the
+ * last round's max(phi, 0).  Returns -1 on a NULL buffer or inconsistent
+ * sizes (nothing written), 0 on success. */
+int detect_block(const double *old_blk, const double *new_blk,
+                 int64_t rounds, int64_t active, const double *weights,
+                 int64_t weights_count, double weight, int64_t scan,
+                 double epsilon, double *s1, double *s2, int64_t *first,
+                 double *cross1, double *cross2, double *phi_last)
+{
+    if (!old_blk || !new_blk || !s1 || !s2 || !first || !cross1 || !cross2
+        || !phi_last || rounds < 1 || active < 0 || scan < 0 || scan > rounds
+        || weights_count != (weights ? rounds * active : 0)) {
+        return -1;
+    }
+    for (int64_t j = 0; j < active; j++) {
+        first[j] = -1;
+    }
+    for (int64_t r = 0; r < rounds; r++) {
+        const double *before = old_blk + r * active;
+        const double *after = new_blk + r * active;
+        const double *w = weights ? weights + r * active : NULL;
+        const int scanned = r < scan;
+        for (int64_t j = 0; j < active; j++) {
+            const double d1 = (w ? w[j] : weight) * (after[j] - before[j]);
+            const double d2 = d1 * (after[j] + before[j]);
+            const double m1 = s1[j] + d1;
+            const double m2 = s2[j] + d2;
+            s1[j] = m1;
+            s2[j] = m2;
+            if (scanned && first[j] < 0 && m2 - m1 * m1 <= epsilon) {
+                first[j] = r;
+                cross1[j] = m1;
+                cross2[j] = m2;
+            }
+        }
+    }
+    for (int64_t j = 0; j < active; j++) {
+        const double phi = s2[j] - s1[j] * s1[j];
+        phi_last[j] = phi < 0.0 ? 0.0 : phi;
     }
     return 0;
 }

@@ -3,8 +3,8 @@
 The batch engine advances ``B`` independent replicas per vectorized round;
 the only model-specific inner operation is "for each active replica ``b``
 with selected node ``u_b``, average ``k`` uniformly chosen distinct
-neighbours of ``u_b``".  A :class:`SamplingBackend` performs that for a
-whole batch at once.  Two implementations trade memory for gather speed:
+neighbours of ``u_b``".  A :class:`SamplingBackend` picks those
+neighbours for a whole batch at once.  Two implementations trade memory for gather speed:
 
 * :class:`DenseBackend` precomputes the padded ``(n, d_max)`` neighbour
   table of :meth:`~repro.graphs.adjacency.Adjacency.padded_neighbors` —
@@ -49,8 +49,8 @@ class SamplingBackend(abc.ABC):
     """Batched k-neighbour sampling over one frozen :class:`Adjacency`.
 
     ``k`` is fixed per backend instance (it is a model parameter); the
-    per-call inputs are the batch's flat value view, the active replica
-    rows, and the selected node per row.
+    per-call inputs are the selected nodes (an array of any shape) and
+    the variates that choose their neighbours.
 
     ``d_max`` optionally widens the neighbour-slot axis beyond this
     snapshot's own maximum degree: the multi-snapshot form
@@ -147,21 +147,6 @@ class SamplingBackend(abc.ABC):
         """
         return self._pick_slots(nodes, self._slots(frac, nodes))
 
-    def pick_one(
-        self,
-        flat: np.ndarray,
-        row_offsets: np.ndarray,
-        nodes: np.ndarray,
-        frac: np.ndarray,
-    ) -> np.ndarray:
-        """The ``k = 1`` hot path: one uniform neighbour value per row.
-
-        ``flat`` is the batch's cached flat value view (see
-        ``BatchAveragingProcess._flat``) and ``row_offsets`` the active
-        rows' flat bases ``rows * n``.
-        """
-        return flat[row_offsets + self.pick_block(nodes, frac)]
-
     def _subset_slots(
         self,
         deg: np.ndarray,
@@ -233,31 +218,6 @@ class SamplingBackend(abc.ABC):
             return self._pick_slots(nodes, slots)
         deg = self._degrees[nodes]
         return self._pick_slots(nodes, self._subset_slots(deg, keys, rng))
-
-    def neighbour_means(
-        self,
-        values: np.ndarray,
-        flat: np.ndarray,
-        rows: np.ndarray,
-        row_offsets: np.ndarray,
-        nodes: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Mean over a uniform ``k``-subset of neighbours, one per row.
-
-        ``values`` is the ``(B, n)`` batch state and ``flat`` its cached
-        flat view; ``rows`` are the active replica indices,
-        ``row_offsets`` their flat bases ``rows * n``, and ``nodes`` the
-        selected node per row.
-        """
-        if self.k == 1:
-            return self.pick_one(flat, row_offsets, nodes, rng.random(len(nodes)))
-        keys = None
-        if self.uses_subset_keys:
-            keys = rng.random((len(nodes), self._d_max))
-        picked = self.pick_subsets(nodes, keys, rng)
-        return values[rows[:, None], picked].mean(axis=1)
-
 
 class DenseBackend(SamplingBackend):
     """Sampling against the precomputed padded neighbour table.

@@ -59,6 +59,8 @@ from repro.engine.dynamic import GraphSchedule
 from repro.engine.kernels import (
     DEFAULT_BLOCK_ROUNDS,
     BlockPlan,
+    blockloop,
+    fold_block,
     make_block_executor,
     make_block_stepper,
     resolve_kernel,
@@ -203,6 +205,12 @@ class BatchAveragingProcess(abc.ABC):
         self.kernel = resolve_kernel(kernel)
         self.block_rounds = DEFAULT_BLOCK_ROUNDS
         self._block_exec = make_block_executor(self.kernel)
+        if self._block_exec is not None:
+            # Detection runs compiled for every block kernel: load (or
+            # build) the library now, in set-up, not in the first block.
+            blockloop()
+        # Largest block plan reported to engine.plan_peak_bytes so far.
+        self._plan_reported = 0
         # The jit kernel's one-call decode-and-execute path, for the
         # shapes it covers (built by the concrete models, _init_stepper).
         self._stepper = None
@@ -373,7 +381,7 @@ class BatchAveragingProcess(abc.ABC):
     def _select_batch(
         self, rows: np.ndarray, row_offsets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Draw ``(nodes, neighbour_means, picked)`` for the replica rows.
+        """Draw ``(nodes, means, picked)`` for the replica rows.
 
         ``row_offsets`` is ``rows * n``, the flat-index base of each
         row into the cached flat view — precomputed so the hot path
@@ -572,7 +580,9 @@ class BatchAveragingProcess(abc.ABC):
             out = self._block_exec(self._flat, plan, self.alpha, record)
             if out is not None:
                 out = (plan.write_idx, plan.keep, plan.weights, *out)
-            METRICS.peak("engine.plan_peak_bytes", plan.nbytes)
+            if plan.nbytes > self._plan_reported:
+                self._plan_reported = plan.nbytes
+                METRICS.peak("engine.plan_peak_bytes", plan.nbytes)
         if timed:
             tracer.add_time("engine.time.plan_s", decoded - start)
             tracer.add_time("engine.time.execute_s", time.perf_counter() - decoded)
@@ -636,29 +646,30 @@ class BatchAveragingProcess(abc.ABC):
     ) -> np.ndarray:
         """Chunked detection with exact backdating (block kernels).
 
-        Each block records per-round moment increments ``(d1, d2)``
-        derived from the written entries' old/new values.  The
-        within-block moment trajectories are the left folds
+        Each block records every written entry's ``(old, new)`` values,
+        from which :func:`~repro.engine.kernels.fold_block` derives the
+        per-round moment increments ``(d1, d2)`` and folds them, column
+        by column in round order, into the pre-block moments:
 
             s1[r] = (((s1_0 + d1_1) + d1_2) + ... + d1_r)
 
-        computed by one in-place ``cumsum`` seeded with the pre-block
-        moments — the *same* floating-point fold the per-round check
-        performs, so ``phi[r] = max(s2[r] - s1[r]^2, 0)`` reproduces
-        the per-round sequence exactly and the first ``phi[r] <= eps``
-        index is the exact hitting round.  A replica crossing mid-block
-        is then *rewound* to its crossing-round state (each over-stepped
-        round's old value was recorded, so undoing the writes in reverse
-        order is exact) before it freezes, and its moments are set from
-        the trajectory at the crossing.  Blocks never straddle the
-        periodic exact-resync boundary, and when one ends on it the
-        final round's phi is re-evaluated post-resync — again matching
-        what per-round checking would have seen.  Hitting times *and*
-        the frozen states are therefore invariant to ``block_rounds``
-        (one realized trajectory, detected at different granularities),
-        except under the rejection-sampled ``k > 2`` regime whose
-        variate *count* is data-dependent (see
-        :mod:`repro.engine.kernels`).
+        — the *same* floating-point fold the per-round check performs, so
+        ``phi[r] = max(s2[r] - s1[r]^2, 0)`` reproduces the per-round
+        sequence exactly and the first ``phi[r] <= eps`` round is the
+        exact hitting round.  A replica crossing mid-block is then
+        *rewound* to its crossing-round state (each over-stepped round's
+        old value was recorded, so undoing the writes in reverse order is
+        exact) before it freezes, and its moments are set to the fold's
+        moments at the crossing.  Blocks never straddle the periodic
+        exact-resync boundary, and when one ends on it the fold scans one
+        round short and the final round's phi is evaluated post-resync —
+        again matching what per-round checking would have seen.  Hitting
+        times *and* the frozen states are therefore invariant to
+        ``block_rounds`` (one realized trajectory, detected at different
+        granularities), except under the rejection-sampled ``k > 2``
+        regime whose variate *count* is data-dependent (see
+        :mod:`repro.engine.kernels`).  Under an active tracer the fold
+        and rewind time goes to the timer ``engine.time.detect_s``.
         """
         start = self.t
         tracer = active_tracer()
@@ -671,41 +682,43 @@ class BatchAveragingProcess(abc.ABC):
             self.t += rounds
             self._rounds_since_resync += rounds
 
-            d1 = weights * (new_blk - old_blk)
-            d2 = d1 * (new_blk + old_blk)
-            traj1 = np.empty((rounds + 1, rows.size))
-            traj1[0] = self._s1[rows]
-            traj1[1:] = d1
-            np.cumsum(traj1, axis=0, out=traj1)
-            traj2 = np.empty((rounds + 1, rows.size))
-            traj2[0] = self._s2[rows]
-            traj2[1:] = d2
-            np.cumsum(traj2, axis=0, out=traj2)
-            self._s1[rows] = traj1[-1]
-            self._s2[rows] = traj2[-1]
-            phi = np.maximum(traj2[1:] - traj1[1:] ** 2, 0.0)
+            s1 = self._s1[rows]
+            s2 = self._s2[rows]
             resynced = self._rounds_since_resync >= _RESYNC_EVERY
             if resynced:
+                # Exact moments at the block's end (from `values` alone).
                 self.resync_moments()
-                phi[-1] = np.maximum(
+            if tracer.enabled:
+                detect_start = time.perf_counter()
+            first, cross1, cross2, phi_last = fold_block(
+                old_blk, new_blk, weights, s1, s2, epsilon,
+                rounds - 1 if resynced else rounds,
+            )
+            if resynced:
+                phi_last = np.maximum(
                     self._s2[rows] - self._s1[rows] ** 2, 0.0
                 )
-            below = phi <= epsilon
-            crossed = below.any(axis=0)
+                first[(first < 0) & (phi_last <= epsilon)] = rounds - 1
+            else:
+                self._s1[rows] = s1
+                self._s2[rows] = s2
+            crossed = first >= 0
             if crossed.any():
-                first = below.argmax(axis=0)
                 done = rows[crossed]
                 hit[done] = (self.t - rounds - start) + first[crossed] + 1
                 self._rewind_crossed(
-                    write_idx, keep, old_blk, traj1, traj2, rows, crossed,
+                    write_idx, keep, old_blk, cross1, cross2, rows, crossed,
                     first, resynced,
                 )
                 self.freeze(done)
             if tracer.enabled:
+                tracer.add_time(
+                    "engine.time.detect_s", time.perf_counter() - detect_start
+                )
                 # Chunk-boundary stream samples: the block already ended
                 # and phi was already computed, so recording reads what
                 # exists — it cannot perturb the trajectory or the RNG.
-                tracer.record("engine.phi_max", self.t, float(phi[-1].max()))
+                tracer.record("engine.phi_max", self.t, float(phi_last.max()))
                 tracer.record(
                     "engine.active_replicas", self.t, self.num_active
                 )
@@ -716,8 +729,8 @@ class BatchAveragingProcess(abc.ABC):
         write_idx: np.ndarray,
         keep: np.ndarray | None,
         old_blk: np.ndarray,
-        traj1: np.ndarray,
-        traj2: np.ndarray,
+        cross1: np.ndarray,
+        cross2: np.ndarray,
         rows: np.ndarray,
         crossed: np.ndarray,
         first: np.ndarray,
@@ -725,16 +738,16 @@ class BatchAveragingProcess(abc.ABC):
     ) -> None:
         """Restore crossed replicas to their exact crossing-round state.
 
-        ``first[j]`` indexes the phi row of column ``j``'s crossing, so
+        ``first[j]`` is the block row of column ``j``'s crossing, so
         rounds ``first[j]+1 .. R-1`` (0-based block rows) over-stepped
         it.  Each such round wrote exactly one entry whose prior value
         sits in ``old_blk``; assigning the old values back in *reverse*
         round order is an exact undo (on duplicate indices NumPy's
         fancy assignment lets the last — i.e. earliest-round — value
-        win).  Moments are reset from the recorded trajectory at the
-        crossing, except for a replica that crossed on a resync
-        boundary's final round, whose exactly-resynchronised moments
-        are already in place.
+        win).  Moments are reset to the fold's moments at the crossing
+        (``cross1``, ``cross2``), except for a replica that crossed on a
+        resync boundary's final round, whose exactly-resynchronised
+        moments are already in place.
         """
         flat = self._flat
         rounds = old_blk.shape[0]
@@ -751,8 +764,8 @@ class BatchAveragingProcess(abc.ABC):
                 flat[write] = values
             row = rows[j]
             if not (resynced and cut == rounds):
-                self._s1[row] = traj1[cut, j]
-                self._s2[row] = traj2[cut, j]
+                self._s1[row] = cross1[j]
+                self._s2[row] = cross2[j]
 
     def replay(self, schedule: Schedule) -> None:
         """Apply a recorded selection sequence to every replica.
@@ -874,12 +887,18 @@ class BatchAveragingProcess(abc.ABC):
             self.resync_moments()
 
     def resync_moments(self) -> None:
-        """Recompute the pi-weighted moments exactly from the state."""
+        """Recompute the pi-weighted moments exactly from the state (timed
+        under an active tracer as ``engine.time.resync_s``)."""
+        tracer = active_tracer()
+        if tracer.enabled:
+            start = time.perf_counter()
         self._flat = self.values.reshape(-1)
         self._s1 = self.values @ self._pi
         self._s2 = (self.values * self.values) @ self._pi
         self._rounds_since_resync = 0
         self._moments_dirty = False
+        if tracer.enabled:
+            tracer.add_time("engine.time.resync_s", time.perf_counter() - start)
 
     @property
     def phi(self) -> np.ndarray:
@@ -977,9 +996,9 @@ class BatchNodeModel(BatchAveragingProcess):
             nodes = scaled.astype(np.int64)
             picked = self._sampler.pick_block(nodes, scaled - nodes)
             return nodes, self._flat[row_offsets + picked], picked
-        # The subset draw mirrors SamplingBackend.neighbour_means (same
-        # variates in the same order) but keeps the picked ids so the
-        # recording path can observe them.
+        # The node, then (full-key shapes) one key per neighbour slot,
+        # then the subset; the picked ids are kept so the recording path
+        # can observe them.
         nodes = self.rng.integers(self.n, size=rows.size)
         keys = None
         if self._sampler.uses_subset_keys:

@@ -68,14 +68,15 @@ exact for the trajectory actually run.)
 The executors below receive a fully precomputed :class:`BlockPlan` and
 only perform the value-dependent work; :class:`BlockStepper` decodes
 and executes in one call.  In record mode both return the per-round
-``(old, new)`` values of every updated entry, from which the caller
-derives the exact per-round moment increments
-``(d1, d2) = (pi_u * (new - old), d1 * (new + old))`` — the inputs to
-chunked convergence detection (see ``BatchAveragingProcess.run_until_phi``
-for the backdating math).  Fused and jit kernels perform bit-identical
-IEEE operations on the same uniforms, so a fixed seed yields
-bit-identical trajectories across the two; the fused NumPy decode is
-the jit decode's oracle.
+``(old, new)`` values of every updated entry, from which
+:func:`fold_block` derives the exact per-round moment increments
+``(d1, d2) = (pi_u * (new - old), d1 * (new + old))``, folds them and
+finds each replica's first crossing — chunked convergence detection,
+one compiled pass for every block kernel (see
+``BatchAveragingProcess.run_until_phi`` for the backdating math).
+Fused and jit kernels perform bit-identical IEEE operations on the same
+uniforms, so a fixed seed yields bit-identical trajectories across the
+two; the fused NumPy decode is the jit decode's oracle.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def resolve_kernel(name: str) -> str:
     validate_kernel(name)
     if name in ("numpy", "fused"):
         return name
-    if _blockloop() is not None:
+    if blockloop() is not None:
         return "jit"
     if name == "jit":
         _warn_fallback(name)
@@ -205,6 +206,20 @@ class BlockPlan:
         return sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
 
 
+def _check_plan_indices(flat: np.ndarray, *indices: np.ndarray) -> None:
+    """Raise ``IndexError`` unless every index lies in ``[0, flat.size)``.
+
+    Viewed as unsigned, a negative index is huge, so a single max per
+    array covers both bounds.
+    """
+    for index in indices:
+        if index.size and index.view(np.uint64).max() >= flat.size:
+            raise IndexError(
+                f"block plan index out of range for {flat.size} entries "
+                f"(min {index.min()}, max {index.max()})"
+            )
+
+
 def run_block_fused(
     flat: np.ndarray, plan: BlockPlan, alpha: float, record: bool
 ) -> tuple[np.ndarray, np.ndarray] | None:
@@ -224,17 +239,12 @@ def run_block_fused(
         # zipped row views keep the interpreter's share of each round
         # to a handful of bytecodes.
         cat_idx = plan.cat_idx
-        # One range check for the whole block, before any write: viewed
-        # as unsigned, a negative index is huge, so a single max covers
-        # both bounds.  Every index is then in range and the per-round
-        # gathers can use mode="wrap" (the identity here), which writes
-        # straight into `out`; the default mode="raise" checks each
-        # index again and buffers the result.
-        if cat_idx.size and cat_idx.view(np.uint64).max() >= flat.size:
-            raise IndexError(
-                f"block plan index out of range for {flat.size} entries "
-                f"(min {cat_idx.min()}, max {cat_idx.max()})"
-            )
+        # One range check for the whole block, before any write.  Every
+        # index is then in range and the per-round gathers can use
+        # mode="wrap" (the identity here), which writes straight into
+        # `out`; the default mode="raise" checks each index again and
+        # buffers the result.
+        _check_plan_indices(flat, cat_idx)
         coef = plan.coef
         take = flat.take
         scatter = flat.__setitem__
@@ -269,7 +279,9 @@ def run_block_fused(
             scatter(wi, acc)
         return None
 
-    # General path: lazy masking and/or k-neighbour means.
+    # General path: lazy masking and/or k-neighbour means, checked as a
+    # whole before the first write like the fast path.
+    _check_plan_indices(flat, plan.write_idx, plan.gather_idx)
     w_rows = list(plan.write_idx)
     keep = plan.keep
     old_blk = new_blk = None
@@ -381,7 +393,12 @@ def load_blockloop(compiler=None, cache_dir=None):
             ptr, ptr, ptr, i64, f64, f64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
             ptr,
         ]
-        for entry in (library.block_cat, library.block_lazy, library.block_step):
+        library.detect_block.argtypes = [
+            ptr, ptr, i64, i64, ptr, i64, f64, i64, f64, ptr, ptr, ptr, ptr,
+            ptr, ptr,
+        ]
+        for entry in (library.block_cat, library.block_lazy,
+                      library.block_step, library.detect_block):
             entry.restype = ctypes.c_int
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
@@ -390,11 +407,14 @@ def load_blockloop(compiler=None, cache_dir=None):
 
 _UNLOADED = object()
 #: The loaded block-loop library, ``None`` when unavailable; built or
-#: loaded on the first ``resolve_kernel`` of ``"auto"`` or ``"jit"``.
+#: loaded on the first :func:`blockloop` call (``resolve_kernel`` of
+#: ``"auto"`` or ``"jit"``, or the construction of a block-kernel batch).
 _LOOP = _UNLOADED
 
 
-def _blockloop():
+def blockloop():
+    """The process's block-loop library (see :func:`load_blockloop`),
+    built or loaded on the first call; ``None`` when unavailable."""
     global _LOOP
     if _LOOP is _UNLOADED:
         _LOOP = load_blockloop()
@@ -425,7 +445,7 @@ def run_block_jit(
     are not C-contiguous of the expected dtype, and environments without
     the library fall back to the fused kernel per call.
     """
-    loop = _blockloop()
+    loop = blockloop()
     R, A = plan.write_idx.shape
     if loop is None or not (
         _c_array(flat, np.float64, flat.shape) and flat.flags.writeable
@@ -643,10 +663,90 @@ def make_block_stepper(kernel: str, replicas: int, n: int, k: int,
     ``k > 2`` and lazy ``k > 1``."""
     if kernel != "jit" or k > 2 or (lazy and k > 1):
         return None
-    loop = _blockloop()
+    loop = blockloop()
     if loop is None:
         return None
     return BlockStepper(loop, replicas, n, k, lazy, alpha)
+
+
+# ----------------------------------------------------------------------
+# Convergence detection
+# ----------------------------------------------------------------------
+def fold_block(old, new, weights, s1, s2, epsilon: float, scan: int):
+    """Fold one recorded block's moment increments and find its crossings.
+
+    ``old`` and ``new`` are a record-mode block's ``(R, A)`` written
+    values, ``weights`` the written entries' pi weights (a scalar, or an
+    ``(R, A)`` array), and ``s1``/``s2`` the active replicas' ``(A,)``
+    pre-block moments, which are replaced in place by the post-block
+    moments.  Per column the increments ``d1 = w (new - old)`` and
+    ``d2 = d1 (new + old)`` are added in round order: the left fold that
+    per-round checking performs.
+
+    Returns ``(first, cross1, cross2, phi_last)``: per column, the first
+    of the leading ``scan`` rounds whose ``phi = s2 - s1^2`` is
+    ``<= epsilon`` (``-1`` if none; a NaN phi never counts), the moments
+    just after that round (meaningful only where ``first >= 0``), and the
+    last round's ``max(phi, 0)``.
+
+    One compiled pass (``detect_block``) when the block-loop library
+    loads, else the NumPy fold below; both perform the same IEEE
+    operations in the same order, so their results are bit-identical.
+    Arrays that are not C-contiguous float64 of those shapes also take
+    the NumPy fold.
+    """
+    rounds, active = old.shape
+    if not 0 <= scan <= rounds:
+        raise ParameterError(f"scan must be in [0, {rounds}], got {scan}")
+    loop = blockloop()
+    scalar = not isinstance(weights, np.ndarray)
+    shape = (rounds, active)
+    if loop is None or not (
+        _c_array(old, np.float64, shape)
+        and _c_array(new, np.float64, shape)
+        and (scalar or _c_array(weights, np.float64, shape))
+        and _c_array(s1, np.float64, (active,)) and s1.flags.writeable
+        and _c_array(s2, np.float64, (active,)) and s2.flags.writeable
+    ):
+        return _fold_numpy(old, new, weights, s1, s2, epsilon, scan)
+    first = np.empty(active, np.int64)
+    out = np.empty((3, active))
+    status = loop.detect_block(
+        old.ctypes.data, new.ctypes.data, rounds, active,
+        None if scalar else weights.ctypes.data, 0 if scalar else weights.size,
+        float(weights) if scalar else 0.0, scan, epsilon, s1.ctypes.data,
+        s2.ctypes.data, first.ctypes.data, *(row.ctypes.data for row in out),
+    )
+    if status:  # pragma: no cover - the arguments were checked above
+        raise ParameterError("detect_block rejected its arguments")
+    return first, out[0], out[1], out[2]
+
+
+def _fold_numpy(old, new, weights, s1, s2, epsilon, scan):
+    """:func:`fold_block` in NumPy: two seeded in-place ``cumsum`` passes
+    (NumPy accumulates sequentially, row after row) give the within-block
+    moment trajectories, from which phi and the first crossings follow."""
+    rounds, active = old.shape
+    d1 = weights * (new - old)
+    d2 = d1 * (new + old)
+    traj1 = np.empty((rounds + 1, active))
+    traj1[0] = s1
+    traj1[1:] = d1
+    np.cumsum(traj1, axis=0, out=traj1)
+    traj2 = np.empty((rounds + 1, active))
+    traj2[0] = s2
+    traj2[1:] = d2
+    np.cumsum(traj2, axis=0, out=traj2)
+    s1[:] = traj1[-1]
+    s2[:] = traj2[-1]
+    phi = np.maximum(traj2[1:] - traj1[1:] ** 2, 0.0)
+    below = phi[:scan] <= epsilon
+    first = np.full(active, -1, dtype=np.int64)
+    if scan:
+        crossed = below.any(axis=0)
+        first[crossed] = below.argmax(axis=0)[crossed]
+    columns = np.arange(active)
+    return first, traj1[first + 1, columns], traj2[first + 1, columns], phi[-1]
 
 
 #: Effective kernel name -> block executor.

@@ -11,7 +11,8 @@ JSON-serialisable dict — the ``telemetry`` block attached to
   "spans": [...span tree...],      "dropped_spans": 0,
   "counters": {...run-scoped...},  "gauges": {...}, "peaks": {...},
   "streams": {"series": {...}, "histograms": {...}},
-  "timers": {"engine.time.plan_s": ..., "engine.time.execute_s": ...}
+  "timers": {"engine.time.plan_s": ..., "engine.time.execute_s": ...,
+             "engine.time.detect_s": ..., "engine.time.resync_s": ...}
 }
 ```
 
@@ -119,8 +120,8 @@ def summarize(telemetry: Mapping[str, Any], top: int = 12) -> dict:
     "kernel", "engine_time", "shards"}`` where ``top_spans`` aggregates
     by span name (calls, total, self time) sorted by self time, ``cache``
     reports the hit/miss/byte counters, ``kernel`` the dispatch counters,
-    ``engine_time`` the block kernels' plan/execute split (timers
-    ``engine.time.*``), and ``shards`` the balance statistics over
+    ``engine_time`` the engine's plan/execute/detect/resync split
+    (timers ``engine.time.*``), and ``shards`` the balance statistics over
     ``engine.shard`` spans.
     """
     roots = _spans(telemetry)

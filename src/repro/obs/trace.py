@@ -25,8 +25,8 @@ can be merged by shifting their roots (see
 :meth:`Span.shifted`, used by the multiprocessing driver).
 
 Timers (:meth:`Tracer.add_time`) accumulate seconds per name for work
-too fine-grained for spans — the engine's per-block plan and execute
-times.  They live on the tracer, not in the metric registry, so a
+too fine-grained for spans — the engine's per-block plan, execute,
+detect and resync times.  They live on the tracer, not in the metric registry, so a
 traced run's counters stay identical to an untraced run's.
 
 Thread safety: each thread keeps its own open-span stack; finished root

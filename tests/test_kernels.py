@@ -244,6 +244,32 @@ class TestBlockRangeCheck:
             run_block_fused(flat, plan, batch.alpha, record)
         np.testing.assert_array_equal(flat, before)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("bad", [-1, "past_end"])
+    @pytest.mark.parametrize("column", ["gather", "write"])
+    def test_lazy_plan_bad_index_raises_before_any_write(
+        self, regular64, values64, k, record, bad, column
+    ):
+        """The lazy (general) path checks its write and gather indices
+        before the first write too: a negative index must not wrap into
+        another replica's entry."""
+        batch = BatchNodeModel(
+            regular64, values64, alpha=0.5, k=k, replicas=4, seed=5,
+            lazy=True, kernel="fused",
+        )
+        batch.run(3)
+        plan = batch._plan_block(8)
+        assert plan.cat_idx is None
+        flat = batch.values.reshape(-1)
+        before = flat.copy()
+        index = plan.write_idx if column == "write" else plan.gather_idx
+        index[-1, 0] = flat.size if bad == "past_end" else bad
+        plan.keep[-1, 0] = True  # the corrupted round does update
+        with pytest.raises(IndexError):
+            run_block_fused(flat, plan, batch.alpha, record)
+        np.testing.assert_array_equal(flat, before)
+
 
 @needs_jit
 class TestJitBitEquivalence:
@@ -839,6 +865,254 @@ class TestChunkedDetectionBackdating:
         assert batch.t == 7
 
 
+#: (model, k, lazy) shapes of the detection-fold comparisons.
+FOLD_SHAPES = [("node", 1, False), ("node", 2, False), ("node", 3, False),
+               ("edge", 1, False), ("node", 1, True), ("edge", 1, True)]
+
+
+def _fold_graph(kind):
+    """Regular, irregular (array pi weights) and a pi-changing schedule;
+    every node has degree >= 4, so k = 3 fits."""
+    import networkx as nx
+
+    if kind == "regular":
+        return random_regular_graph(30, 5, seed=1)
+    if kind == "irregular":
+        return nx.connected_watts_strogatz_graph(30, 6, 0.3, seed=2)
+    return CyclicSchedule(
+        [nx.connected_watts_strogatz_graph(30, 6, 0.3, seed=s) for s in (2, 5)],
+        23,
+    )
+
+
+def _fold_batch(model, k, lazy, graph, kernel, values=None, replicas=5):
+    n = 30
+    if values is None:
+        values = np.random.default_rng(8).normal(size=n)
+    if model == "node":
+        return BatchNodeModel(graph, values, 0.4, k=k, replicas=replicas,
+                              seed=6, lazy=lazy, kernel=kernel)
+    return BatchEdgeModel(graph, values, 0.4, replicas=replicas, seed=6,
+                          lazy=lazy, kernel=kernel)
+
+
+@pytest.fixture
+def numpy_fold_calls(monkeypatch):
+    """Counts the NumPy fold's calls (zero while the C pass runs)."""
+    calls = []
+    numpy_fold = kernels_mod._fold_numpy
+
+    def counted(*args):
+        calls.append(1)
+        return numpy_fold(*args)
+
+    monkeypatch.setattr(kernels_mod, "_fold_numpy", counted)
+    return calls
+
+
+@needs_jit
+class TestDetectFold:
+    """run_until_phi's compiled detection pass (detect_block) gives the
+    NumPy fold's hitting times, frozen states and phi bit for bit."""
+
+    def _twin_runs(self, monkeypatch, make, calls, block_rounds,
+                   epsilon=1e-6, max_steps=20_000, prelude=True):
+        """Run ``make()`` on the C fold, then on the NumPy fold; the
+        prelude is 37 plain rounds and a frozen replica 1."""
+        loop = kernels_mod.blockloop()
+        results = []
+        for numpy_fold in (False, True):
+            batch = make()
+            if numpy_fold:
+                # The jit stepper keeps its own entry point; only
+                # detection (and jit's plan executor) lose the library.
+                monkeypatch.setattr(kernels_mod, "_LOOP", None)
+            batch.block_rounds = block_rounds
+            if prelude:
+                batch.run(37)
+                batch.freeze([1])
+            hits = batch.run_until_phi(epsilon, max_steps)
+            results.append((hits, batch.values.copy(), batch.phi, batch.t))
+            assert bool(calls) == numpy_fold
+        monkeypatch.setattr(kernels_mod, "_LOOP", loop)
+        calls.clear()
+        (hits_c, values_c, phi_c, t_c), (hits_np, values_np, phi_np, t_np) = results
+        np.testing.assert_array_equal(hits_c, hits_np)
+        np.testing.assert_array_equal(values_c, values_np)
+        np.testing.assert_array_equal(phi_c, phi_np)
+        assert t_c == t_np
+        return hits_c
+
+    @pytest.mark.parametrize("block_rounds", [1, 13, 256])
+    @pytest.mark.parametrize("graph", ["regular", "irregular", "schedule"])
+    @pytest.mark.parametrize("model, k, lazy", FOLD_SHAPES)
+    @pytest.mark.parametrize("kernel", ["fused", "jit"])
+    def test_c_fold_equals_numpy_fold(
+        self, monkeypatch, numpy_fold_calls, kernel, model, k, lazy, graph,
+        block_rounds,
+    ):
+        hits = self._twin_runs(
+            monkeypatch,
+            lambda: _fold_batch(model, k, lazy, _fold_graph(graph), kernel),
+            numpy_fold_calls, block_rounds,
+        )
+        assert (hits[[0, 2, 3, 4]] > 0).all() and hits[1] == -1
+
+    @pytest.mark.parametrize("kernel", ["fused", "jit"])
+    def test_nan_column_never_crosses(self, monkeypatch, numpy_fold_calls, kernel):
+        values = np.tile(np.random.default_rng(8).normal(size=30), (5, 1))
+        values[2, 7] = np.nan
+        hits = self._twin_runs(
+            monkeypatch,
+            lambda: _fold_batch("node", 1, False, _fold_graph("irregular"),
+                                kernel, values=values),
+            numpy_fold_calls, 64, max_steps=3000,
+        )
+        assert hits[2] == -1 and (hits[[0, 3, 4]] > 0).all()
+
+    @pytest.mark.parametrize("kernel", ["fused", "jit"])
+    def test_crossing_on_the_resync_boundary(
+        self, monkeypatch, numpy_fold_calls, regular64, values64, kernel
+    ):
+        """A replica whose first crossing is the last round before the
+        exact resync: the fold scans one round short and the crossing is
+        found on the resynchronised moments, at every block size."""
+        from repro.engine.batch import _RESYNC_EVERY
+
+        def make(kernel="fused"):
+            return BatchNodeModel(regular64, values64, 0.5, replicas=8,
+                                  seed=15, kernel=kernel)
+
+        # phi after each of the first _RESYNC_EVERY rounds, one round per
+        # call: the sequence per-round checking sees (the last row is
+        # already resynchronised).
+        probe = make()
+        probe.block_rounds = 1
+        phis = []
+        for _ in range(_RESYNC_EVERY):
+            probe.run_until_phi(1e-300, 1)
+            phis.append(probe.phi)
+        phis = np.array(phis)
+        (candidates,) = np.nonzero(phis[-1] < phis[:-1].min(axis=0))
+        assert candidates.size
+        column = candidates[0]
+        epsilon = phis[-1, column]
+        for block_rounds in (1, 13, 256):
+            hits = self._twin_runs(
+                monkeypatch, lambda: make(kernel), numpy_fold_calls,
+                block_rounds, epsilon=epsilon, max_steps=2 * _RESYNC_EVERY,
+                prelude=False,
+            )
+            assert hits[column] == _RESYNC_EVERY
+
+    @pytest.mark.parametrize("scalar", [True, False])
+    @pytest.mark.parametrize("short", [False, True])
+    def test_fold_block_matches_the_numpy_fold(self, scalar, short):
+        rng = np.random.default_rng(7)
+        rounds, active = 60, 9
+        old = rng.normal(size=(rounds, active))
+        new = rng.normal(size=(rounds, active)) * 0.9
+        old[0, 3] = np.nan  # column 3 is NaN throughout
+        weights = 0.05 if scalar else rng.uniform(0.01, 0.1, (rounds, active))
+        s1 = rng.normal(size=active) * 0.1
+        s2 = rng.uniform(1.0, 2.0, size=active)
+        scan = rounds - 1 if short else rounds
+        # An epsilon that several columns cross at different rounds.
+        probe = kernels_mod._fold_numpy(
+            old, new, weights, s1.copy(), s2.copy(), -np.inf, rounds
+        )
+        assert (probe[0] == -1).all()
+        moments = [s1.copy(), s2.copy()]
+        epsilon = float(np.nanmedian(probe[3]))
+        expected = kernels_mod._fold_numpy(
+            old, new, weights, *moments, epsilon, scan
+        )
+        c_moments = [s1.copy(), s2.copy()]
+        got = kernels_mod.fold_block(old, new, weights, *c_moments, epsilon, scan)
+        np.testing.assert_array_equal(c_moments, moments)
+        first = expected[0]
+        np.testing.assert_array_equal(got[0], first)
+        crossed = first >= 0
+        assert 0 < crossed.sum() < active and first[3] == -1
+        assert len(set(first[crossed])) > 1
+        for got_part, expected_part in zip(got[1:3], expected[1:3]):
+            np.testing.assert_array_equal(got_part[crossed], expected_part[crossed])
+        np.testing.assert_array_equal(got[3], expected[3])
+        assert np.isnan(got[3][3])
+        if short:
+            assert (first < rounds - 1).all()
+
+    def test_scan_stops_short_of_the_last_round(self):
+        """Crossing only on the last round: found with scan = R, not with
+        scan = R - 1 (the resync boundary)."""
+        old = np.zeros((4, 1))
+        new = np.zeros((4, 1))
+        old[-1, 0] = 2.0
+        for scan, expected in ((4, 3), (3, -1)):
+            for fold in (kernels_mod.fold_block, kernels_mod._fold_numpy):
+                s1, s2 = np.zeros(1), np.full(1, 3.0)
+                first = fold(old, new, 0.5, s1, s2, 0.6, scan)[0]
+                assert first[0] == expected
+                assert (s1[0], s2[0]) == (-1.0, 1.0)
+
+    def test_bad_arguments_return_minus_one_and_write_nothing(self):
+        loop = kernels_mod.blockloop()
+        rounds, active = 5, 3
+        old, new = np.ones((rounds, active)), np.full((rounds, active), 2.0)
+        weights = np.full((rounds, active), 0.1)
+        s1, s2 = np.zeros(active), np.ones(active)
+        first = np.full(active, 7, dtype=np.int64)
+        out = np.full((3, active), 9.0)
+
+        def call(**change):
+            args = dict(
+                old=old.ctypes.data, new=new.ctypes.data, rounds=rounds,
+                active=active, weights=weights.ctypes.data,
+                count=weights.size, weight=0.0, scan=rounds, epsilon=0.5,
+                s1=s1.ctypes.data, s2=s2.ctypes.data, first=first.ctypes.data,
+                cross1=out[0].ctypes.data, cross2=out[1].ctypes.data,
+                phi=out[2].ctypes.data,
+            )
+            args.update(change)
+            return loop.detect_block(*args.values())
+
+        bad = [{name: None} for name in (
+            "old", "new", "s1", "s2", "first", "cross1", "cross2", "phi",
+        )]
+        bad += [{"count": weights.size - 1}, {"weights": None},
+                {"count": 0}, {"scan": rounds + 1}, {"scan": -1},
+                {"rounds": 0, "scan": 0}, {"active": -1}]
+        for change in bad:
+            assert call(**change) == -1, change
+            np.testing.assert_array_equal(s1, 0.0)
+            np.testing.assert_array_equal(s2, 1.0)
+            np.testing.assert_array_equal(first, 7)
+            np.testing.assert_array_equal(out, 9.0)
+        assert call(weights=None, count=0, weight=0.1) == 0
+        assert call() == 0
+
+    def test_fused_batch_without_a_compiler_is_silent(
+        self, monkeypatch, tmp_path, regular64, values64
+    ):
+        def run():
+            batch = BatchNodeModel(regular64, values64, 0.5, replicas=4,
+                                   seed=3, kernel="fused")
+            return batch.run_until_phi(1e-6, 50_000), batch.values
+
+        hits, values = run()
+        loop = kernels_mod.load_blockloop(
+            compiler=[str(tmp_path / "no-such-cc")],
+            cache_dir=str(tmp_path / "cache"),
+        )
+        monkeypatch.setattr(kernels_mod, "_LOOP", loop)
+        monkeypatch.setattr(kernels_mod, "_FALLBACK_WARNED", False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fallback_hits, fallback_values = run()
+        np.testing.assert_array_equal(fallback_hits, hits)
+        np.testing.assert_array_equal(fallback_values, values)
+
+
 class TestStatisticalParity:
     """Fused-kernel distributions match the loop oracle's moments."""
 
@@ -998,7 +1272,8 @@ class TestHighDegreeSubsets:
         np.testing.assert_array_equal(dense.values, csr.values)
 
     def test_perround_rejection_dense_csr_agree(self):
-        """kernel='numpy' exercises rejection inside neighbour_means."""
+        """kernel='numpy' exercises rejection sampling per round, in
+        BatchNodeModel._select_batch via SamplingBackend.pick_subsets."""
         graph = complete_graph(70)
         values = center_simple(np.random.default_rng(5).normal(size=70))
         dense = BatchNodeModel(

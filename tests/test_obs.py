@@ -458,6 +458,31 @@ class TestApiTelemetry:
         peaks = METRICS.delta(baseline)["peaks"]
         assert peaks["engine.plan_peak_bytes"] == 40 * 16 * 8 + 16 * 8
 
+    def test_plan_peak_is_reported_only_when_a_plan_grows(self, monkeypatch):
+        """The plan path reports a block's plan bytes only when they
+        exceed the batch's last report, not once per block."""
+        reports = []
+        peak = METRICS.peak
+
+        def counted(name, value):
+            if name == "engine.plan_peak_bytes":
+                reports.append(value)
+            peak(name, value)
+
+        monkeypatch.setattr(METRICS, "peak", counted)
+        baseline = METRICS.snapshot()
+        batch = BatchNodeModel(
+            nx.cycle_graph(12), np.arange(12.0), 0.5, replicas=8, seed=1,
+            kernel="fused",
+        )
+        batch.block_rounds = 10
+        batch.run(5)
+        batch.run(100)  # ten more blocks, each as large as the biggest
+        batch.run(7)
+        assert reports == [5 * 16 * 8 + 16 * 8, 10 * 16 * 8 + 16 * 8]
+        peaks = METRICS.delta(baseline)["peaks"]
+        assert peaks["engine.plan_peak_bytes"] == 10 * 16 * 8 + 16 * 8
+
     @pytest.mark.skipif(
         kernels_mod.resolve_kernel("auto") != "jit",
         reason="no C compiler for the jit loop",
@@ -494,10 +519,41 @@ class TestApiTelemetry:
         )
         summary = summarize(result.telemetry)
         assert summary["engine_time"] == {
-            "execute_s": timers["engine.time.execute_s"],
-            "plan_s": timers["engine.time.plan_s"],
+            name.removeprefix("engine.time."): value
+            for name, value in timers.items()
         }
+        assert {"execute_s", "plan_s"} <= set(summary["engine_time"])
         assert "engine time    execute " in render_summary(summary)
+
+    def test_engine_timers_cover_detect_and_resync(self):
+        """A hitting-time run also times its detection (fold and rewind)
+        and its exact moment resyncs; the summary lists every engine
+        timer, and the counters equal an untraced run's."""
+        def run(trace):
+            baseline = METRICS.snapshot()
+            result = execute(RunSpec(
+                "EXP-T221", overrides={"sizes": [16], "replicas": 4},
+                trace=trace,
+            ))
+            return result, METRICS.delta(baseline)["counters"]
+
+        plain, plain_counters = run(False)
+        traced, traced_counters = run(True)
+        assert traced.tables == plain.tables
+        assert traced_counters == plain_counters
+        timers = traced.telemetry["timers"]
+        for name in ("plan_s", "execute_s", "detect_s", "resync_s"):
+            assert timers[f"engine.time.{name}"] > 0
+        summary = summarize(traced.telemetry)
+        assert set(summary["engine_time"]) == {
+            "detect_s", "execute_s", "plan_s", "resync_s",
+        }
+        line = next(
+            line for line in render_summary(summary).splitlines()
+            if line.startswith("engine time")
+        )
+        for name in ("plan", "execute", "detect", "resync"):
+            assert f"{name} " in line
 
     def test_plan_peak_does_not_leak_between_runs(self):
         def peak(spec):
