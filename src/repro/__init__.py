@@ -55,8 +55,8 @@ Subpackages
     Closed-form bounds: convergence times, contraction factors,
     ``Var(F)`` envelopes, martingale structure.
 ``repro.baselines``
-    Voter model, pairwise gossip, DeGroot, Friedkin–Johnsen,
-    Hegselmann–Krause, synchronous diffusion, push-sum.
+    Voter model, pairwise gossip and push-sum: the baselines EXP-PRICE
+    compares the NodeModel against.
 ``repro.sim`` / ``repro.analysis``
     Monte-Carlo replication, moment estimation, scaling fits, tables.
 ``repro.experiments``

@@ -1,40 +1,24 @@
-"""Baseline opinion/averaging dynamics the paper positions itself against.
+"""Baseline averaging dynamics the paper positions itself against.
 
 * :mod:`repro.baselines.voter` — the discrete voter model ([33], [18]);
-  the NodeModel with ``k = 1, alpha = 0`` degenerates to it,
+  the NodeModel with ``k = 1, alpha = 0`` degenerates to it, and the
+  scalar :class:`VoterModel` is the oracle of EXP-PRICE's batched voter
+  column,
 * :mod:`repro.baselines.gossip` — randomized pairwise gossip averaging
   (Boyd et al. [14]): the *coordinated* update the introduction contrasts
   with, which preserves the average exactly (``Var(F) = 0``),
-* :mod:`repro.baselines.degroot` — synchronous DeGroot dynamics [23],
-* :mod:`repro.baselines.friedkin_johnsen` — FJ dynamics with stubborn
-  private opinions [29] plus the limited-information randomized variant
-  of [27] that motivates the NodeModel,
-* :mod:`repro.baselines.hegselmann_krause` — bounded-confidence dynamics
-  [34],
-* :mod:`repro.baselines.load_balancing` — synchronous neighbourhood
-  diffusion (doubly stochastic; [22], [38]),
 * :mod:`repro.baselines.pushsum` — push-sum ratio consensus for
   sum/average computation (Kempe et al. [35]).
+
+EXP-PRICE runs gossip and push-sum against the NodeModel.
 """
 
-from repro.baselines.degroot import DeGrootModel
-from repro.baselines.friedkin_johnsen import (
-    FriedkinJohnsenModel,
-    LimitedInfoFriedkinJohnsen,
-)
 from repro.baselines.gossip import PairwiseGossip
-from repro.baselines.hegselmann_krause import HegselmannKrauseModel
-from repro.baselines.load_balancing import SynchronousDiffusion
 from repro.baselines.pushsum import PushSum
 from repro.baselines.voter import VoterModel
 
 __all__ = [
-    "DeGrootModel",
-    "FriedkinJohnsenModel",
-    "HegselmannKrauseModel",
-    "LimitedInfoFriedkinJohnsen",
     "PairwiseGossip",
     "PushSum",
-    "SynchronousDiffusion",
     "VoterModel",
 ]

@@ -18,13 +18,6 @@ runs one of them per replica.
 """
 
 from repro.core.base import AveragingProcess, StepRecord
-from repro.core.continuous import (
-    PoissonClock,
-    edge_model_event_rate,
-    node_model_event_rate,
-    steps_to_time,
-    time_to_steps,
-)
 from repro.core.dynamic import DynamicAveraging
 from repro.core.convergence import measure_t_eps, run_to_consensus
 from repro.core.edge_model import EdgeModel
@@ -53,7 +46,6 @@ from repro.core.schedule import Schedule, SelectionStep
 __all__ = [
     "AveragingProcess",
     "DynamicAveraging",
-    "PoissonClock",
     "EdgeModel",
     "INITIAL_FAMILIES",
     "NodeModel",
@@ -64,20 +56,16 @@ __all__ = [
     "center_degree_weighted",
     "center_simple",
     "discrepancy",
-    "edge_model_event_rate",
     "fiedler_aligned",
     "gaussian_values",
     "indicator_values",
     "linear_ramp",
     "make_initial",
     "measure_t_eps",
-    "node_model_event_rate",
     "phi_pi",
     "phi_uniform",
     "rademacher_values",
     "run_to_consensus",
     "second_eigenvector_aligned",
-    "steps_to_time",
-    "time_to_steps",
     "uniform_values",
 ]

@@ -5,20 +5,21 @@
  * from the block's uniforms with the same double operations as the
  * NumPy decode (selection.py: draw_node_block, draw_edge_block,
  * split_lazy, SamplingBackend._slots), range-checks every decoded index,
- * and only then runs the rounds.  block_cat and block_lazy execute a
- * precomputed BlockPlan (k > 2, and selection recording).
+ * and only then runs the rounds.  Every other block (k > 2, lazy k > 1,
+ * selection recording) executes a NumPy-built BlockPlan in
+ * run_block_fused, the one plan executor.
  *
- * All three run the rounds with the same IEEE operations, in the same
+ * block_step runs the rounds with the same IEEE operations, in the same
  * order, as run_block_fused: per round, gather every active replica's
  * entries, compute the updates, then scatter them.  Built with
  * -ffp-contract=off so no multiply-add is fused and the results are
  * bit-identical to the NumPy kernel.
  *
- * Every function checks all indices before its first write and returns
- * -1 (state untouched) if any is out of range, 0 on success.  A NULL
- * old_blk selects plain mode; otherwise old_blk and new_blk receive each
- * round's (old, new) written values, and new_blk doubles as the
- * per-round scratch.
+ * It checks all indices before its first write and returns -1 (state
+ * untouched) if any is out of range, 0 on success.  A NULL old_blk
+ * selects plain mode; otherwise old_blk and new_blk receive each round's
+ * (old, new) written values, and new_blk doubles as the per-round
+ * scratch.
  *
  * detect_block is run_until_phi's detection pass over such a recorded
  * block: it folds the per-round moment increments and finds each
@@ -27,17 +28,6 @@
 #include <stddef.h>
 #include <stdint.h>
 #include <time.h>
-
-static int indices_in_range(const int64_t *idx, int64_t count, int64_t size)
-{
-    /* Viewed as unsigned, a negative index is huge: one compare per entry. */
-    for (int64_t i = 0; i < count; i++) {
-        if ((uint64_t)idx[i] >= (uint64_t)size) {
-            return 0;
-        }
-    }
-    return 1;
-}
 
 /* Packed rounds: row r of cat is [neighbour_1 | ... | neighbour_k | write],
  * each part `active` wide.  new = t_0 + t_1 (+ t_2 ... + t_k), with
@@ -107,35 +97,6 @@ static void execute_lazy(double *flat, const int64_t *write_idx,
     }
 }
 
-/* Execute a BlockPlan's packed cat_idx (coefficients [beta_k | alpha]). */
-int block_cat(double *flat, int64_t size, const int64_t *cat, int64_t rounds,
-              int64_t active, int64_t k, double beta_k, double alpha,
-              double *scratch, double *old_blk, double *new_blk)
-{
-    if (!indices_in_range(cat, rounds * (k + 1) * active, size)) {
-        return -1;
-    }
-    execute_cat(flat, cat, rounds, active, k, beta_k, alpha, scratch,
-                old_blk, new_blk);
-    return 0;
-}
-
-/* Execute a lazy k = 1 BlockPlan's (R, A) write and gather indices. */
-int block_lazy(double *flat, int64_t size, const int64_t *write_idx,
-               const int64_t *gather_idx, const uint8_t *keep, double alpha,
-               double beta, int64_t rounds, int64_t active, double *scratch,
-               double *old_blk, double *new_blk)
-{
-    const int64_t count = rounds * active;
-    if (!indices_in_range(write_idx, count, size)
-        || !indices_in_range(gather_idx, count, size)) {
-        return -1;
-    }
-    execute_lazy(flat, write_idx, gather_idx, active, keep, alpha, beta,
-                 rounds, active, scratch, old_blk, new_blk);
-    return 0;
-}
-
 /* Decode and run one block.
  *
  * flat is the (replicas, n) state; u the block's (rounds, replicas)
@@ -146,8 +107,8 @@ int block_lazy(double *flat, int64_t size, const int64_t *write_idx,
  * NULL, else the CSR neighbours at offsets[node]; table_size bounds it.
  * degrees holds every node's degree.
  *
- * index receives the decoded flat indices in block_cat's packed layout,
- * (rounds, (k + 1) * active); keep (lazy only) the coins and weights
+ * index receives the decoded flat indices in BlockPlan's packed cat_idx
+ * layout, (rounds, (k + 1) * active); keep (lazy only) the coins and weights
  * (record mode, when pi is given) pi of each written node.  stamp, when
  * not NULL, receives the CLOCK_MONOTONIC time at which decoding and the
  * range check ended. */

@@ -16,8 +16,9 @@ the bit-compatible PR-1 reference), while the block kernels
 :attr:`block_rounds` rounds per Python call — all block randomness
 pre-drawn in one C-order call and all value-independent index
 arithmetic hoisted out of the round loop.  ``"jit"`` decodes and runs
-the whole block in one compiled call over the same uniforms, so fused
-and jit trajectories are bit-identical at a fixed seed (see
+a node ``k <= 2``, edge or lazy ``k = 1`` block in one compiled call
+over the same uniforms and runs every other block as fused does, so
+fused and jit trajectories are bit-identical at a fixed seed (see
 :mod:`repro.engine.kernels`).
 
 The per-replica potential ``phi`` is tracked via pi-weighted first and
@@ -393,8 +394,10 @@ class BatchAveragingProcess(abc.ABC):
 
     @abc.abstractmethod
     def _plan_block(self, block_rounds: int) -> BlockPlan:
-        """Precompute one R-round block in NumPy (fused, and the jit
-        kernel's ``k > 2`` and selection-recording blocks).
+        """Precompute one R-round block in NumPy for
+        :func:`~repro.engine.kernels.run_block_fused`: every fused
+        block, and the jit blocks its stepper does not cover (``k > 2``,
+        lazy ``k > 1`` and selection recording).
 
         Draws the block's randomness in one C-order call **for the full
         batch** (frozen replicas' columns are discarded), then computes
@@ -549,9 +552,10 @@ class BatchAveragingProcess(abc.ABC):
     def _advance(self, rounds: int, record: bool):
         """Advance the active replicas by one ``rounds``-round block.
 
-        The jit kernel's stepper decodes and executes in one C call; the
-        other block kernels, ``k > 2`` and recorded selections plan the
-        block in NumPy (:meth:`_plan_block`) and execute the plan.  In
+        The jit kernel's stepper decodes and executes in one C call;
+        every other block (the fused kernel, and jit's ``k > 2``, lazy
+        ``k > 1`` and recorded selections) is planned in NumPy
+        (:meth:`_plan_block`) and executed by ``run_block_fused``.  In
         record mode returns ``(write_idx, keep, weights, old, new)``:
         each round's written flat index, the lazy coins (or ``None``),
         the pi weights of the written entries and their ``(old, new)``

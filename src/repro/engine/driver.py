@@ -95,6 +95,8 @@ class EngineSpec:
                 f"got {values.shape}"
             )
         object.__setattr__(self, "initial_values", values)
+        # One float type, so equal specs share one hash and cache token.
+        object.__setattr__(self, "alpha", float(self.alpha))
 
     @classmethod
     def for_schedule(

@@ -27,11 +27,11 @@ advances a batch by *blocks of R rounds per Python call*:
     uniform draw in NumPy plus one C call that decodes the selections
     from those uniforms with the fused decode's double operations and
     then runs the rounds — no index arrays are built in NumPy at all.
-    The other shapes (``k > 2``, and every shape while selections are
-    recorded) keep the fused kernel's NumPy decode and
-    :class:`BlockPlan`, executed in C by :func:`run_block_jit`; lazy
-    ``k > 1`` runs the fused kernel per call.  Without a compiler
-    ``"jit"`` falls back to ``"fused"``.
+    Every other block (``k > 2``, lazy ``k > 1``, and every shape while
+    selections are recorded) is a fused block: NumPy decode into a
+    :class:`BlockPlan`, executed by :func:`run_block_fused`, the one
+    plan executor.  Without a compiler ``"jit"`` falls back to
+    ``"fused"``.
 
 ``kernel="auto"`` resolves to ``"jit"`` when the compiled loop loads and
 to ``"fused"`` otherwise.
@@ -65,10 +65,10 @@ a variable number of variates and is therefore the one shape whose
 realized trajectory depends on the block size; its hitting times remain
 exact for the trajectory actually run.)
 
-The executors below receive a fully precomputed :class:`BlockPlan` and
-only perform the value-dependent work; :class:`BlockStepper` decodes
-and executes in one call.  In record mode both return the per-round
-``(old, new)`` values of every updated entry, from which
+:func:`run_block_fused` receives a fully precomputed :class:`BlockPlan`
+and only performs the value-dependent work; :class:`BlockStepper`
+decodes and executes in one call.  In record mode both return the
+per-round ``(old, new)`` values of every updated entry, from which
 :func:`fold_block` derives the exact per-round moment increments
 ``(d1, d2) = (pi_u * (new - old), d1 * (new + old))``, folds them and
 finds each replica's first crossing — chunked convergence detection,
@@ -382,12 +382,6 @@ def load_blockloop(compiler=None, cache_dir=None):
                     os.unlink(tmp)
         library = ctypes.CDLL(path)
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-        library.block_cat.argtypes = [
-            ptr, i64, ptr, i64, i64, i64, f64, f64, ptr, ptr, ptr,
-        ]
-        library.block_lazy.argtypes = [
-            ptr, i64, ptr, ptr, ptr, f64, f64, i64, i64, ptr, ptr, ptr,
-        ]
         library.block_step.argtypes = [
             ptr, i64, i64, ptr, ptr, i64, i64, i64, i64, ptr, i64, ptr, i64,
             ptr, ptr, ptr, i64, f64, f64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
@@ -397,8 +391,7 @@ def load_blockloop(compiler=None, cache_dir=None):
             ptr, ptr, i64, i64, ptr, i64, f64, i64, f64, ptr, ptr, ptr, ptr,
             ptr, ptr,
         ]
-        for entry in (library.block_cat, library.block_lazy,
-                      library.block_step, library.detect_block):
+        for entry in (library.block_step, library.detect_block):
             entry.restype = ctypes.c_int
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
@@ -431,70 +424,6 @@ def _c_array(array, dtype, shape) -> bool:
     )
 
 
-def run_block_jit(
-    flat: np.ndarray, plan: BlockPlan, alpha: float, record: bool
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Execute one precomputed plan with the compiled C loop (fused fallback).
-
-    The jit kernel's path for the shapes :class:`BlockStepper` does not
-    decode (``k > 2``, and recorded selections).  It performs the same
-    IEEE operations per entry as :func:`run_block_fused` on the same
-    plan, so trajectories are bit-identical across the two kernels at a
-    fixed seed.  Shapes without a compiled loop (lazy ``k > 1``, whose
-    neighbour mean follows NumPy's reduction order), plans whose arrays
-    are not C-contiguous of the expected dtype, and environments without
-    the library fall back to the fused kernel per call.
-    """
-    loop = blockloop()
-    R, A = plan.write_idx.shape
-    if loop is None or not (
-        _c_array(flat, np.float64, flat.shape) and flat.flags.writeable
-    ):
-        return run_block_fused(flat, plan, alpha, record)
-    if plan.cat_idx is not None:
-        arrays = (plan.cat_idx,)
-        layout = ((np.int64, (R, (plan.k + 1) * A)),)
-    elif plan.k == 1 and plan.keep is not None:
-        arrays = (plan.write_idx, plan.gather_idx, plan.keep)
-        layout = ((np.int64, (R, A)), (np.int64, (R, A)), (np.bool_, (R, A)))
-    else:
-        return run_block_fused(flat, plan, alpha, record)
-    if not all(
-        _c_array(array, dtype, shape)
-        for array, (dtype, shape) in zip(arrays, layout)
-    ):
-        return run_block_fused(flat, plan, alpha, record)
-    # Plain mode needs one row of scratch; record mode writes each
-    # round's new values straight into new_blk.
-    scratch = None if record else np.empty(A)
-    old_blk = np.empty((R, A)) if record else None
-    new_blk = np.empty((R, A)) if record else None
-    out = tuple(
-        None if array is None else array.ctypes.data
-        for array in (scratch, old_blk, new_blk)
-    )
-    pointers = [array.ctypes.data for array in arrays]
-    if plan.cat_idx is not None:
-        status = loop.block_cat(
-            flat.ctypes.data, flat.size, *pointers, R, A, plan.k,
-            (1.0 - alpha) / plan.k, alpha, *out,
-        )
-    else:
-        status = loop.block_lazy(
-            flat.ctypes.data, flat.size, *pointers, alpha, 1.0 - alpha, R, A,
-            *out,
-        )
-    if status:
-        indices = arrays[:1] if plan.cat_idx is not None else arrays[:2]
-        low = min(int(index.min()) for index in indices)
-        high = max(int(index.max()) for index in indices)
-        raise IndexError(
-            f"block plan index out of range for {flat.size} entries "
-            f"(min {low}, max {high})"
-        )
-    return (old_blk, new_blk) if record else None
-
-
 class BlockStepper:
     """The jit kernel's one-call blocks: decode and execute in C.
 
@@ -503,11 +432,11 @@ class BlockStepper:
     ``(R, B)`` uniforms — the fused kernel's draw, so the stream is
     unchanged — and one ``block_step`` call that decodes the active
     columns in place, range-checks every decoded index and runs the
-    rounds.  The buffers (uniforms, the decoded indices in
-    ``block_cat``'s packed layout, lazy coins, pi weights and the record
-    outputs) belong to the stepper and are reused from block to block,
-    growing only when a block needs more.  :meth:`bind` installs a graph
-    snapshot's sampling source.
+    rounds.  The buffers (uniforms, the decoded indices in the packed
+    ``cat_idx`` layout of :class:`BlockPlan`, lazy coins, pi weights and
+    the record outputs) belong to the stepper and are reused from block
+    to block, growing only when a block needs more.  :meth:`bind`
+    installs a graph snapshot's sampling source.
 
     :attr:`nbytes` is the plan memory held — uniforms, decoded indices,
     coins and weights; the record outputs and the row scratch are the
@@ -659,8 +588,8 @@ def _pointer(array) -> int | None:
 def make_block_stepper(kernel: str, replicas: int, n: int, k: int,
                        lazy: bool, alpha: float) -> BlockStepper | None:
     """The one-call decode-and-execute path, or ``None`` where a block
-    goes through a :class:`BlockPlan`: kernels other than ``"jit"``,
-    ``k > 2`` and lazy ``k > 1``."""
+    goes through a :class:`BlockPlan` and :func:`run_block_fused`:
+    kernels other than ``"jit"``, ``k > 2`` and lazy ``k > 1``."""
     if kernel != "jit" or k > 2 or (lazy and k > 1):
         return None
     loop = blockloop()
@@ -749,17 +678,12 @@ def _fold_numpy(old, new, weights, s1, s2, epsilon, scan):
     return first, traj1[first + 1, columns], traj2[first + 1, columns], phi[-1]
 
 
-#: Effective kernel name -> block executor.
-BLOCK_EXECUTORS = {
-    "fused": run_block_fused,
-    "jit": run_block_jit,
-}
-
-
 def make_block_executor(kernel: str):
     """Block executor for an *effective* kernel name (``None`` = per-round).
 
-    The single constructor the batch models use: the fused or jit block
-    function, ``None`` for the legacy ``"numpy"`` path.
+    The single constructor the batch models use: :func:`run_block_fused`
+    for ``"fused"`` and for the jit kernel's planned blocks (those
+    :class:`BlockStepper` does not cover), ``None`` for the legacy
+    ``"numpy"`` path.
     """
-    return BLOCK_EXECUTORS.get(kernel)
+    return run_block_fused if kernel in ("fused", "jit") else None

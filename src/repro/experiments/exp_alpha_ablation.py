@@ -89,7 +89,7 @@ def run(
         ],
     )
     for alpha in alphas:
-        spec = EngineSpec("node", adjacency, initial, float(alpha), kernel=kernel)
+        spec = EngineSpec("node", adjacency, initial, alpha, kernel=kernel)
         times = sample_t_eps(
             spec, EPSILON, time_replicas, seed=seed + 1, max_steps=200_000_000,
             engine=engine,

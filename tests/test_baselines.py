@@ -4,14 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.baselines.degroot import DeGrootModel
-from repro.baselines.friedkin_johnsen import (
-    FriedkinJohnsenModel,
-    LimitedInfoFriedkinJohnsen,
-)
 from repro.baselines.gossip import PairwiseGossip, gossip_to_consensus_batch
-from repro.baselines.hegselmann_krause import HegselmannKrauseModel
-from repro.baselines.load_balancing import SynchronousDiffusion, diffusion_matrix
 from repro.baselines.pushsum import PushSum
 from repro.baselines.voter import VoterModel, win_probabilities
 from repro.engine.driver import EngineSpec, run_to_consensus_batch
@@ -189,133 +182,6 @@ class TestPairwiseGossip:
             assert gossip.values[u] == pytest.approx(
                 (before[u] + before[v]) / 2
             )
-
-
-class TestDeGroot:
-    def test_converges_to_degree_weighted_average(self, star5, rng):
-        initial = rng.normal(size=6)
-        model = DeGrootModel(star5, initial, lazy=True)
-        value, _ = model.run_to_consensus(discrepancy_tol=1e-12)
-        from repro.graphs.spectral import stationary_distribution
-
-        pi = stationary_distribution(star5)
-        assert value == pytest.approx(float(np.sum(pi * initial)), abs=1e-9)
-
-    def test_fixed_point_prediction(self, star5, rng):
-        initial = rng.normal(size=6)
-        model = DeGrootModel(star5, initial, lazy=True)
-        predicted = model.fixed_point()
-        value, _ = model.run_to_consensus(discrepancy_tol=1e-12)
-        assert value == pytest.approx(predicted, abs=1e-8)
-
-    def test_deterministic(self, petersen, rng):
-        initial = rng.normal(size=10)
-        a = DeGrootModel(petersen, initial)
-        b = DeGrootModel(petersen, initial)
-        a.run(10)
-        b.run(10)
-        assert np.allclose(a.values, b.values)
-
-    def test_weights_validation(self, triangle):
-        bad = np.array([[0.5, 0.2, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ParameterError):
-            DeGrootModel(triangle, [1.0, 2.0, 3.0], weights=bad)
-
-
-class TestFriedkinJohnsen:
-    def test_fixed_point_is_stable(self, petersen, rng):
-        private = rng.normal(size=10)
-        model = FriedkinJohnsenModel(petersen, private, susceptibility=0.6)
-        model.values = model.fixed_point()
-        before = model.values.copy()
-        model.step()
-        assert np.allclose(model.values, before, atol=1e-12)
-
-    def test_iteration_converges_to_fixed_point(self, petersen, rng):
-        private = rng.normal(size=10)
-        model = FriedkinJohnsenModel(petersen, private, susceptibility=0.6)
-        model.run(200)
-        assert model.distance_to_fixed_point() < 1e-9
-
-    def test_zero_susceptibility_keeps_private(self, petersen, rng):
-        private = rng.normal(size=10)
-        model = FriedkinJohnsenModel(petersen, private, susceptibility=0.0)
-        model.run(5)
-        assert np.allclose(model.values, private)
-
-    def test_limited_info_tracks_fj_fixed_point(self, petersen, rng):
-        """The randomized k-sample variant's empirical mean state converges
-        near the synchronous FJ equilibrium (Fotakis et al.)."""
-        private = rng.normal(size=10)
-        target = LimitedInfoFriedkinJohnsen(
-            petersen, private, susceptibility=0.5, k=2, seed=1
-        ).expected_fixed_point()
-        replicas = 300
-        total = np.zeros(10)
-        for s in range(replicas):
-            model = LimitedInfoFriedkinJohnsen(
-                petersen, private, susceptibility=0.5, k=2, seed=s
-            )
-            model.run(2_000)
-            total += model.values
-        assert np.allclose(total / replicas, target, atol=0.1)
-
-    def test_limited_info_validation(self, star5):
-        with pytest.raises(ParameterError):
-            LimitedInfoFriedkinJohnsen(star5, np.zeros(6), k=2)
-
-
-class TestHegselmannKrause:
-    def test_full_confidence_reaches_consensus(self, petersen, rng):
-        initial = rng.uniform(0, 1, size=10)
-        model = HegselmannKrauseModel(petersen, initial, confidence=10.0)
-        model.run_until_stable()
-        assert len(model.clusters()) == 1
-
-    def test_tiny_confidence_freezes(self, petersen):
-        initial = np.arange(10.0) * 100.0
-        model = HegselmannKrauseModel(petersen, initial, confidence=1e-6)
-        moved = model.step()
-        assert not moved
-        assert np.allclose(model.values, initial)
-
-    def test_fragmentation_on_path(self):
-        """Two far-apart opinion camps on a path stay separate clusters."""
-        graph = nx.path_graph(10)
-        initial = np.array([0.0] * 5 + [10.0] * 5)
-        model = HegselmannKrauseModel(graph, initial, confidence=1.0)
-        model.run_until_stable()
-        clusters = model.clusters()
-        assert len(clusters) == 2
-
-    def test_validation(self, triangle):
-        with pytest.raises(ParameterError):
-            HegselmannKrauseModel(triangle, [0.0] * 3, confidence=0.0)
-
-
-class TestSynchronousDiffusion:
-    def test_matrix_doubly_stochastic(self, star5):
-        p = diffusion_matrix(star5)
-        assert np.allclose(p.sum(axis=0), 1.0)
-        assert np.allclose(p.sum(axis=1), 1.0)
-        assert np.all(p >= 0)
-
-    def test_average_preserved_exactly(self, star5, rng):
-        initial = rng.normal(size=6)
-        model = SynchronousDiffusion(star5, initial)
-        average = model.average
-        model.run(100)
-        assert model.average == pytest.approx(average, abs=1e-12)
-
-    def test_converges_to_simple_average(self, petersen, rng):
-        initial = rng.normal(size=10)
-        model = SynchronousDiffusion(petersen, initial)
-        value, _ = model.run_to_consensus(discrepancy_tol=1e-10)
-        assert value == pytest.approx(float(initial.mean()), abs=1e-9)
-
-    def test_rate_bound_below_one(self, petersen):
-        model = SynchronousDiffusion(petersen, np.zeros(10))
-        assert 0.0 < model.convergence_rate_bound() < 1.0
 
 
 class TestPushSum:

@@ -1,87 +1,11 @@
-"""Tests for the continuous-time clock and dynamic-graph averaging."""
+"""Tests for dynamic-graph averaging."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core.continuous import (
-    PoissonClock,
-    continuous_time_bound_node,
-    edge_model_event_rate,
-    node_model_event_rate,
-    steps_to_time,
-    time_to_steps,
-)
 from repro.core.dynamic import DynamicAveraging
 from repro.exceptions import ConvergenceError, ParameterError
-
-
-class TestPoissonClock:
-    def test_times_increase(self):
-        clock = PoissonClock(rate=5.0, seed=1)
-        times = [clock.next_time() for _ in range(100)]
-        assert all(b > a for a, b in zip(times, times[1:]))
-        assert clock.ticks == 100
-
-    def test_mean_gap_matches_rate(self):
-        clock = PoissonClock(rate=10.0, seed=2)
-        times = clock.sample_times(20_000)
-        gaps = np.diff(np.concatenate([[0.0], times]))
-        assert gaps.mean() == pytest.approx(0.1, rel=0.05)
-
-    def test_gap_distribution_memoryless(self):
-        """Exponential gaps: P(gap > 2/rate) ~ e^-2."""
-        clock = PoissonClock(rate=1.0, seed=3)
-        gaps = np.diff(np.concatenate([[0.0], clock.sample_times(20_000)]))
-        tail = float(np.mean(gaps > 2.0))
-        assert tail == pytest.approx(np.exp(-2.0), abs=0.01)
-
-    def test_sample_times_advances_clock(self):
-        clock = PoissonClock(rate=1.0, seed=4)
-        first = clock.sample_times(10)
-        second = clock.sample_times(10)
-        assert second[0] > first[-1]
-        assert clock.ticks == 20
-
-    def test_empty_sample(self):
-        clock = PoissonClock(rate=1.0, seed=5)
-        assert len(clock.sample_times(0)) == 0
-        assert clock.ticks == 0
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            PoissonClock(rate=0.0)
-        clock = PoissonClock(rate=1.0, seed=6)
-        with pytest.raises(ParameterError):
-            clock.sample_times(-1)
-
-
-class TestRateConversions:
-    def test_event_rates(self):
-        assert node_model_event_rate(50) == 50.0
-        assert edge_model_event_rate(30) == 60.0
-
-    def test_steps_time_roundtrip(self):
-        steps = 1234.0
-        rate = 17.0
-        assert time_to_steps(steps_to_time(steps, rate), rate) == pytest.approx(steps)
-
-    def test_continuous_bound_cancels_n(self):
-        """The continuous-time NodeModel bound is the step bound / n —
-        the synchronous-comparison bookkeeping of Section 2."""
-        from repro.theory.convergence import node_model_upper_bound
-
-        bound_steps = node_model_upper_bound(40, 0.5, 10.0, 1e-4)
-        bound_time = continuous_time_bound_node(40, 0.5, 10.0, 1e-4)
-        assert bound_time == pytest.approx(bound_steps / 40.0)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            node_model_event_rate(0)
-        with pytest.raises(ParameterError):
-            steps_to_time(-1.0, 5.0)
-        with pytest.raises(ParameterError):
-            time_to_steps(1.0, 0.0)
 
 
 @pytest.fixture

@@ -41,7 +41,7 @@ from repro.engine import (
     sample_f_batch,
 )
 from repro.engine import kernels as kernels_mod
-from repro.engine.kernels import run_block_fused, run_block_jit
+from repro.engine.kernels import run_block_fused
 from repro.exceptions import ParameterError
 from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import complete_graph, random_regular_graph
@@ -221,7 +221,7 @@ class TestChunkInvariance:
 class TestBlockRangeCheck:
     """The fused fast path checks a block's indices once, before any write."""
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("record", [False, True])
     @pytest.mark.parametrize("bad", [-1, "past_end"])
     @pytest.mark.parametrize("column", ["neighbour", "write"])
@@ -307,81 +307,26 @@ class TestJitBitEquivalence:
         )
 
 
-#: Node-model shapes (k, lazy) of the executor tests: k = 8 on degree
-#: >= 10 graphs takes the full-key subset path, lazy k = 1 the compiled
-#: lazy loop; lazy k = 2 is the one shape jit hands to fused per call.
+#: Node-model shapes (k, lazy) of the jit/fused twin runs: k <= 2 and
+#: lazy k = 1 run as BlockStepper blocks, k > 2 and lazy k = 2 as fused
+#: blocks.
 JIT_SHAPES = [(1, False), (2, False), (3, False), (4, False), (8, False),
               (1, True), (2, True)]
 
 
-def _dense_graph(kind):
+def _dense_graph():
     """Degree >= 8 on 30 nodes, so every shape in JIT_SHAPES is valid."""
     import networkx as nx
 
-    if kind == "regular":
-        return random_regular_graph(30, 10, seed=4)
-    if kind == "irregular":
-        graph = nx.connected_watts_strogatz_graph(30, 12, 0.3, seed=2)
-        assert min(d for _, d in graph.degree) >= 8
-        return graph
-    return CyclicSchedule(
-        [random_regular_graph(30, 10, seed=s) for s in (4, 5)], 7
-    )
+    graph = nx.connected_watts_strogatz_graph(30, 12, 0.3, seed=2)
+    assert min(d for _, d in graph.degree) >= 8
+    return graph
 
 
 @needs_jit
 class TestJitExecutorBitIdentity:
-    """The C loop reproduces run_block_fused on one plan, bit for bit."""
-
-    @pytest.mark.parametrize("record", [False, True])
-    @pytest.mark.parametrize("frozen", [False, True])
-    @pytest.mark.parametrize("graph", ["regular", "irregular", "schedule"])
-    @pytest.mark.parametrize("k, lazy", JIT_SHAPES)
-    def test_node_plan(self, monkeypatch, k, lazy, graph, frozen, record):
-        values = np.random.default_rng(3).normal(size=30)
-        batch = BatchNodeModel(
-            _dense_graph(graph), values, 0.5, k=k, replicas=6, seed=7,
-            lazy=lazy, kernel="fused",
-        )
-        if k == 8:
-            assert batch._sampler.uses_subset_keys
-        batch.run(12)  # past the schedule's first switch
-        if frozen:
-            batch.freeze([1, 4])
-        self._compare(monkeypatch, batch, compiled=not (lazy and k > 1),
-                      record=record)
-
-    @pytest.mark.parametrize("record", [False, True])
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_edge_plan(self, monkeypatch, lazy, record):
-        values = np.random.default_rng(3).normal(size=30)
-        batch = BatchEdgeModel(
-            _dense_graph("irregular"), values, 0.5, replicas=6, seed=7,
-            lazy=lazy, kernel="fused",
-        )
-        batch.freeze([2])
-        self._compare(monkeypatch, batch, compiled=True, record=record)
-
-    @staticmethod
-    def _compare(monkeypatch, batch, compiled, record):
-        batch._sync_snapshot()
-        plan = batch._plan_block(batch._block_size(40))
-        fused_flat = batch._flat.copy()
-        jit_flat = batch._flat.copy()
-        expected = run_block_fused(fused_flat, plan, batch.alpha, record)
-        if compiled:
-            def fused_called(*args):
-                raise AssertionError("jit fell back to the fused kernel")
-
-            monkeypatch.setattr(kernels_mod, "run_block_fused", fused_called)
-        actual = run_block_jit(jit_flat, plan, batch.alpha, record)
-        assert not np.array_equal(fused_flat, batch._flat)
-        np.testing.assert_array_equal(jit_flat, fused_flat)
-        if record:
-            for got, want in zip(actual, expected):
-                np.testing.assert_array_equal(got, want)
-        else:
-            assert actual is None and expected is None
+    """A jit batch runs every shape bit-identically to a fused one, each
+    block through BlockStepper or run_block_fused."""
 
     @pytest.mark.parametrize("k, lazy", JIT_SHAPES)
     def test_runs_and_hitting_times(self, k, lazy):
@@ -390,7 +335,7 @@ class TestJitExecutorBitIdentity:
         values = np.random.default_rng(3).normal(size=30)
         fused, jit = (
             BatchNodeModel(
-                _dense_graph("irregular"), values, 0.5, k=k, replicas=6,
+                _dense_graph(), values, 0.5, k=k, replicas=6,
                 seed=7, lazy=lazy, kernel=kernel,
             )
             for kernel in ("fused", "jit")
@@ -405,15 +350,15 @@ class TestJitExecutorBitIdentity:
 
 
 class TestLazyPlanLayout:
-    """Lazy k = 1 draws over frozen rows pack C-ordered plans, which the
-    C loop reads in place (bit identity: TestJitExecutorBitIdentity)."""
+    """Lazy k = 1 draws over frozen rows pack C-ordered plans, so
+    run_block_fused walks contiguous rows."""
 
     @pytest.mark.parametrize("kind", ["node", "edge"])
     def test_frozen_rows_give_c_contiguous_plan(self, kind):
         values = np.random.default_rng(3).normal(size=30)
         model = BatchNodeModel if kind == "node" else BatchEdgeModel
         batch = model(
-            _dense_graph("irregular"), values, 0.5, replicas=6, seed=7,
+            _dense_graph(), values, 0.5, replicas=6, seed=7,
             lazy=True, kernel="fused",
         )
         batch.freeze([1, 4])
@@ -627,25 +572,47 @@ class TestBlockStepper:
         np.testing.assert_array_equal(clone.values, batch.values)
 
     def test_recording_and_wide_subsets_keep_the_plan_path(
-        self, regular64, values64
+        self, monkeypatch, regular64, values64
     ):
-        """Selection recording and k > 2 still plan in NumPy (the
-        oracle path), and record the same selections as fused."""
-        recorded = []
-        for kernel in ("fused", "jit"):
-            batch = BatchNodeModel(
-                regular64, values64, alpha=0.5, k=1, replicas=3, seed=5,
-                kernel=kernel,
-            )
-            batch.record_selections()
-            batch.run(50)
-            recorded.append(batch.recorded_selections())
-        np.testing.assert_array_equal(recorded[0].nodes, recorded[1].nodes)
-        np.testing.assert_array_equal(recorded[0].picked, recorded[1].picked)
-        wide = BatchNodeModel(
-            regular64, values64, alpha=0.5, k=3, replicas=3, kernel="jit"
-        )
-        assert wide._stepper is None
+        """k > 2, lazy k > 1 and selection recording send every jit block
+        through run_block_fused, never through the stepper, and end
+        bit-identical to fused: values, hitting times and the recorded
+        selections."""
+        def no_stepper_block(*args, **kwargs):
+            raise AssertionError("a BlockStepper block ran")
+
+        monkeypatch.setattr(kernels_mod.BlockStepper, "run", no_stepper_block)
+        for k, lazy, record in ((3, False, False), (2, True, False),
+                                (1, False, True)):
+            twins, blocks = [], []
+            for kernel in ("fused", "jit"):
+                rounds = []
+
+                def spy(flat, plan, alpha, mode, rounds=rounds):
+                    rounds.append(plan.rounds)
+                    return run_block_fused(flat, plan, alpha, mode)
+
+                # Batches bind their executor when they are built.
+                monkeypatch.setattr(kernels_mod, "run_block_fused", spy)
+                batch = BatchNodeModel(
+                    regular64, values64, alpha=0.5, k=k, replicas=3, seed=5,
+                    lazy=lazy, kernel=kernel,
+                )
+                assert batch.kernel == kernel
+                if record:
+                    batch.record_selections()
+                batch.run(300)
+                twins.append((batch, batch.run_until_phi(1e-6, 500_000)))
+                blocks.append(rounds)
+            (fused, fused_hits), (jit, jit_hits) = twins
+            assert blocks[0] and blocks[1] == blocks[0]
+            assert (fused_hits > 0).all()
+            np.testing.assert_array_equal(jit_hits, fused_hits)
+            np.testing.assert_array_equal(jit.values, fused.values)
+            if record:
+                want, got = fused.recorded_selections(), jit.recorded_selections()
+                np.testing.assert_array_equal(got.nodes, want.nodes)
+                np.testing.assert_array_equal(got.picked, want.picked)
 
 
 class TestBlockLoopLoader:
@@ -707,34 +674,6 @@ class TestBlockLoopLoader:
         )
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
         assert list(tmp_path.iterdir()) == []
-
-    @needs_jit
-    @pytest.mark.parametrize("k, lazy", [(1, False), (3, False), (1, True)])
-    @pytest.mark.parametrize("record", [False, True])
-    @pytest.mark.parametrize("bad", [-1, "past_end"])
-    @pytest.mark.parametrize("column", ["neighbour", "write"])
-    def test_bad_index_raises_before_any_write(
-        self, regular64, values64, k, lazy, record, bad, column
-    ):
-        batch = BatchNodeModel(
-            regular64, values64, alpha=0.5, k=k, replicas=4, seed=5,
-            lazy=lazy, kernel="jit",
-        )
-        batch.run(3)
-        plan = batch._plan_block(8)
-        flat = batch.values.reshape(-1)
-        before = flat.copy()
-        index = flat.size if bad == "past_end" else bad
-        # Corrupt the last round only: the whole block must be refused.
-        if lazy:
-            target = plan.write_idx if column == "write" else plan.gather_idx
-            target[-1, 0] = index
-        else:
-            entry = 0 if column == "neighbour" else plan.cat_idx.shape[1] - 1
-            plan.cat_idx[-1, entry] = index
-        with pytest.raises(IndexError):
-            run_block_jit(flat, plan, batch.alpha, record)
-        np.testing.assert_array_equal(flat, before)
 
 
 class TestChunkedDetectionBackdating:
@@ -1179,6 +1118,23 @@ class TestEngineSpecKernel:
         c = EngineSpec("node", adjacency, values64, 0.5, 1, kernel="numpy")
         assert a == b and hash(a) == hash(b)
         assert a != c
+
+    def test_alpha_type_does_not_split_equal_specs(self):
+        """An int, a float and a NumPy scalar alpha give one spec: equal,
+        with one hash and one cache token."""
+        import networkx as nx
+
+        adjacency = Adjacency.from_graph(nx.cycle_graph(6))
+        values = np.arange(6.0)
+        for alphas in ((0, 0.0, np.float64(0.0)),
+                       (0.5, np.float64(0.5), np.float32(0.5))):
+            specs = [EngineSpec("node", adjacency, values, a) for a in alphas]
+            assert all(spec == specs[0] for spec in specs)
+            assert len(set(specs)) == 1
+            assert {spec.cache_token() for spec in specs} == {
+                specs[0].cache_token()
+            }
+            assert all(type(spec.alpha) is float for spec in specs)
 
     def test_cache_token_splits_stream_classes(self, regular64, values64):
         """fused/jit/auto share the block stream class; numpy has its
