@@ -60,6 +60,7 @@ from repro.engine.dynamic import GraphSchedule
 from repro.engine.kernels import (
     DEFAULT_BLOCK_ROUNDS,
     BlockPlan,
+    FoldBuffers,
     blockloop,
     fold_block,
     make_block_executor,
@@ -215,6 +216,8 @@ class BatchAveragingProcess(abc.ABC):
         # The jit kernel's one-call decode-and-execute path, for the
         # shapes it covers (built by the concrete models, _init_stepper).
         self._stepper = None
+        # run_until_phi's reused detection outputs.
+        self._fold_buffers = FoldBuffers()
         # The flat view of `values` every gather/scatter indexes into.
         # `values` is allocated once and mutated in place, so the view
         # stays valid for the batch's lifetime; it is refreshed on
@@ -421,16 +424,17 @@ class BatchAveragingProcess(abc.ABC):
             self._bind_stepper()
 
     def __getstate__(self) -> dict:
-        # The stepper holds raw pointers into this batch's arrays, so a
-        # copied or unpickled batch must build its own.
+        # The stepper and the fold buffers hold raw pointers into this
+        # batch's arrays, so a copied or unpickled batch builds its own.
         state = self.__dict__.copy()
-        state["_stepper"] = None
+        state["_stepper"] = state["_fold_buffers"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         # Copying does not keep `_flat` a view of `values`.
         self._flat = self.values.reshape(-1)
+        self._fold_buffers = FoldBuffers()
         self._init_stepper()
 
     def _bind_stepper(self) -> None:
@@ -596,6 +600,65 @@ class BatchAveragingProcess(abc.ABC):
         METRICS.count(f"engine.blocks.{self.kernel}")
         return out
 
+    def _checks_in_c(self) -> bool:
+        """Whether ``run_to_consensus_batch`` runs this batch's blocks and
+        witness checks in C (:meth:`_run_checked`): the jit stepper's
+        shapes on a static graph, without selection recording, and only
+        where :meth:`run` is the engine's own (a subclass that overrides
+        it keeps the per-check loop, which calls it)."""
+        return (
+            self._stepper is not None
+            and self._recording is None
+            and self.graph_schedule is None
+            and type(self).run is BatchAveragingProcess.run
+        )
+
+    def _run_checked(
+        self, budget: int, check_every: int, tol: float, hi: np.ndarray,
+        lo: np.ndarray,
+    ) -> np.ndarray:
+        """``run_to_consensus_batch``'s blocks and witness checks in C.
+
+        Runs intervals of ``check_every`` rounds (the last cut to the
+        ``budget`` of rounds), each in the blocks :meth:`run` would cut
+        it into and each ending in the driver's witness check over the
+        ``(B,)`` witness nodes ``hi``/``lo``, until a check flags a
+        converged row or the budget is spent; under an active tracer it
+        returns after one check.  Returns the active rows the last check
+        flagged.  Time, the work counters (``engine.replica_steps``,
+        ``engine.rng_blocks``, ``engine.harvest.rows`` and
+        ``engine.harvest.scanned_rows``) and, under a tracer, the timers
+        ``engine.time.plan_s``, ``execute_s`` and ``harvest_s`` advance as
+        the block-by-block loop advances them, also for the blocks run
+        before a decoded index out of range raises ``IndexError``.
+        """
+        tracer = active_tracer()
+        timed = tracer.enabled
+        rows = self._active_rows
+        stepper = self._stepper
+        try:
+            flags = stepper.consensus(
+                self.rng, self._flat, rows, self._block_size(budget),
+                check_every, budget, tol, hi, lo, timed, timed,
+            )
+        finally:
+            rounds, blocks, checks, scanned = (int(v) for v in stepper.stats)
+            if rounds:
+                self.t += rounds
+                self._moments_dirty = True
+                METRICS.count("engine.replica_steps", rounds * rows.size)
+                METRICS.count("engine.rng_blocks", blocks)
+                METRICS.count(f"engine.blocks.{self.kernel}", blocks)
+            if checks:
+                METRICS.count("engine.harvest.rows", checks * rows.size)
+                METRICS.count("engine.harvest.scanned_rows", scanned)
+            if timed:
+                plan, execute, check = (float(v) for v in stepper.times)
+                tracer.add_time("engine.time.plan_s", plan)
+                tracer.add_time("engine.time.execute_s", execute)
+                tracer.add_time("engine.time.harvest_s", check)
+        return rows[flags]
+
     def run_until_phi(self, epsilon: float, max_steps: int) -> np.ndarray:
         """Per-replica ``T_eps``: step until every replica has ``phi <= eps``.
 
@@ -696,7 +759,7 @@ class BatchAveragingProcess(abc.ABC):
                 detect_start = time.perf_counter()
             first, cross1, cross2, phi_last = fold_block(
                 old_blk, new_blk, weights, s1, s2, epsilon,
-                rounds - 1 if resynced else rounds,
+                rounds - 1 if resynced else rounds, self._fold_buffers,
             )
             if resynced:
                 phi_last = np.maximum(

@@ -253,6 +253,15 @@ def run_to_consensus_batch(
     The counters ``engine.harvest.rows`` and
     ``engine.harvest.scanned_rows`` count the active rows tested and
     the rows scanned, once per check.
+
+    A batch the jit kernel steps in C (node ``k <= 2``, edge and lazy
+    ``k = 1`` on a static graph, not recording selections) runs its
+    blocks and checks in C as well: one call runs intervals until a
+    check flags a row (see ``BatchAveragingProcess._run_checked``), with
+    the same blocks, checks, witnesses and counters as this loop, which
+    every other batch runs.  Under an active tracer each check, with the
+    finishing of its converged rows, is timed on the tracer's timer
+    ``engine.time.harvest_s``.
     """
     if discrepancy_tol <= 0:
         raise ParameterError(f"discrepancy_tol must be positive, got {discrepancy_tol}")
@@ -291,10 +300,10 @@ def run_to_consensus_batch(
         within = np.arange(len(scan))
         spread = candidates[within, top] - candidates[within, bottom]
         mask = spread <= discrepancy_tol
-        if not mask.any():
-            return
-        done = scan[mask]
-        finished = candidates[mask]
+        if mask.any():
+            _finish(scan[mask], candidates[mask], start)
+
+    def _finish(done: np.ndarray, finished: np.ndarray, start: int) -> None:
         # The finished rows' moments use the pi of the round about to
         # run, as batch.phi does at a snapshot switch.
         batch._sync_snapshot()
@@ -310,14 +319,34 @@ def run_to_consensus_batch(
         batch.freeze(done)
 
     tracer = active_tracer()
+    timed = tracer.enabled
+    in_c = batch._checks_in_c()
     start = batch.t
     checks = 0
+    if timed:
+        began = time.perf_counter()
     _harvest(start)
+    if timed:
+        tracer.add_time("engine.time.harvest_s", time.perf_counter() - began)
     while batch.num_active and batch.t - start < max_steps:
         remaining = max_steps - (batch.t - start)
-        batch.run(min(check_every, remaining))
-        _harvest(start)
-        if tracer.enabled:
+        if in_c:
+            done = batch._run_checked(
+                remaining, check_every, discrepancy_tol, hi, lo
+            )
+            if timed:
+                began = time.perf_counter()
+            if len(done):
+                _finish(done, batch.values[done], start)
+        else:
+            batch.run(min(check_every, remaining))
+            if timed:
+                began = time.perf_counter()
+            _harvest(start)
+        if timed:
+            tracer.add_time(
+                "engine.time.harvest_s", time.perf_counter() - began
+            )
             # Harvest checks are chunk boundaries: sampling here cannot
             # change how many rounds run or what the RNG draws.
             tracer.record("engine.active_replicas", batch.t, batch.num_active)
@@ -331,7 +360,7 @@ def run_to_consensus_batch(
                     float(batch.discrepancy[rows].max()),
                 )
         checks += 1
-    if tracer.enabled:
+    if timed:
         tracer.streams.histogram("consensus_rounds", t)
     if batch.num_active:
         rows = batch._active_rows

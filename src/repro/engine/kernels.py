@@ -24,10 +24,12 @@ advances a batch by *blocks of R rounds per Python call*:
     system C compiler and loaded through ``ctypes`` (see
     :func:`load_blockloop`).  For node ``k = 1``, node ``k = 2``, the
     edge model and lazy ``k = 1`` (:class:`BlockStepper`) a block is one
-    uniform draw in NumPy plus one C call that decodes the selections
-    from those uniforms with the fused decode's double operations and
-    then runs the rounds — no index arrays are built in NumPy at all.
-    Every other block (``k > 2``, lazy ``k > 1``, and every shape while
+    C call that draws the block's uniforms from the batch generator's
+    bit stream, decodes the selections from them with the fused
+    decode's double operations and then runs the rounds — no uniform or
+    index array is built in NumPy at all — and a run to consensus is
+    one C call per converging check (blocks and witness checks).  Every
+    other block (``k > 2``, lazy ``k > 1``, and every shape while
     selections are recorded) is a fused block: NumPy decode into a
     :class:`BlockPlan`, executed by :func:`run_block_fused`, the one
     plan executor.  Without a compiler ``"jit"`` falls back to
@@ -45,7 +47,12 @@ matrix whose row ``r`` holds round ``r``'s variates and whose column
 bit stream in C order, splitting a run into blocks of any size consumes
 the stream identically — trajectories are *chunk-invariant*, and frozen
 replicas (whose columns are drawn but discarded) never shift their
-neighbours' variates.  Per shape the draw is:
+neighbours' variates.  The jit kernel's C loop draws the same doubles
+itself, in the same order: it calls the bit generator's
+``next_double`` (``rng.bit_generator.ctypes``, under the bit
+generator's lock), the function ``Generator.random`` calls once per
+double, so a jit block consumes exactly the stream a fused block's
+``rng.random((R, B))`` consumes.  Per shape the draw is:
 
 * node ``k = 1``: ``U ~ (R, B)``; ``node = floor(u * n)``, neighbour
   slot from the fractional part (as in the per-round engine);
@@ -67,7 +74,7 @@ exact for the trajectory actually run.)
 
 :func:`run_block_fused` receives a fully precomputed :class:`BlockPlan`
 and only performs the value-dependent work; :class:`BlockStepper`
-decodes and executes in one call.  In record mode both return the
+draws, decodes and executes in one call.  In record mode both return the
 per-round ``(old, new)`` values of every updated entry, from which
 :func:`fold_block` derives the exact per-round moment increments
 ``(d1, d2) = (pi_u * (new - old), d1 * (new + old))``, folds them and
@@ -332,19 +339,21 @@ def load_blockloop(compiler=None, cache_dir=None):
     The shared library is named by the sha256 of the source, the compiler
     command and the flags, and lives in a per-user cache directory
     (``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``, mode 0700).  A
-    build compiles to a temporary name in that directory and publishes it
+    build compiles to a temporary name in that directory, publishes it
     with ``os.replace``, so concurrent workers never load a half-written
-    file; later loads reuse the file without compiling.  ``compiler`` (an
-    argument list, default ``sysconfig``'s ``CC``) and ``cache_dir``
-    override the defaults.  Returns the ``ctypes`` library, or ``None``
-    when there is no compiler or the build or load fails.
+    file, and then deletes every other ``blockloop-*.so`` there (the
+    libraries of earlier sources or compilers); later loads reuse the
+    file without compiling.  A library that disappears before it is
+    loaded (pruned by another build) is a cache miss: it is built again.
+    ``compiler`` (an argument list, default ``sysconfig``'s ``CC``) and
+    ``cache_dir`` override the defaults.  Returns the ``ctypes`` library,
+    or ``None`` when there is no compiler or the build or load fails.
     """
     import ctypes
     import hashlib
     import shlex
     import subprocess
     import sysconfig
-    import tempfile
 
     if compiler is None:
         compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
@@ -366,36 +375,64 @@ def load_blockloop(compiler=None, cache_dir=None):
         if info.st_uid != os.getuid() or info.st_mode & 0o022:
             return None  # another user could plant a library here
         path = os.path.join(cache_dir, f"blockloop-{digest}.so")
-        if not os.path.exists(path):
-            fd, tmp = tempfile.mkstemp(
-                prefix=".blockloop-", suffix=".so", dir=cache_dir
-            )
-            os.close(fd)
+        for attempt in range(2):
+            if not os.path.exists(path):
+                _build(command, cache_dir, path)
             try:
-                subprocess.run(
-                    [*command, "-o", tmp, _SOURCE],
-                    check=True, capture_output=True, timeout=120,
-                )
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        library = ctypes.CDLL(path)
+                library = ctypes.CDLL(path)
+                break
+            except OSError:
+                if attempt or os.path.exists(path):
+                    raise
         ptr, i64, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
         library.block_step.argtypes = [
-            ptr, i64, i64, ptr, ptr, i64, i64, i64, i64, ptr, i64, ptr, i64,
-            ptr, ptr, ptr, i64, f64, f64, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+            ptr, ptr, ptr, ptr, ptr, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr,
             ptr,
+        ]
+        library.consensus_check.argtypes = [
+            ptr, i64, i64, ptr, i64, f64, ptr, ptr, ptr,
+        ]
+        library.consensus_check.restype = i64
+        library.consensus_run.argtypes = [
+            ptr, ptr, ptr, ptr, ptr, i64, ptr, ptr, ptr, i64, i64, i64, f64,
+            ptr, ptr, ptr, i64, ptr, ptr,
         ]
         library.detect_block.argtypes = [
             ptr, ptr, i64, i64, ptr, i64, f64, i64, f64, ptr, ptr, ptr, ptr,
             ptr, ptr,
         ]
-        for entry in (library.block_step, library.detect_block):
+        for entry in (library.block_step, library.consensus_run,
+                      library.detect_block):
             entry.restype = ctypes.c_int
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
     return library
+
+
+def _build(command, cache_dir, path) -> None:
+    """Compile the loop to ``path`` and delete the superseded libraries."""
+    import subprocess
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(prefix=".blockloop-", suffix=".so", dir=cache_dir)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [*command, "-o", tmp, _SOURCE],
+            check=True, capture_output=True, timeout=120,
+        )
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    published = os.path.basename(path)
+    for name in os.listdir(cache_dir):
+        if (name.startswith("blockloop-") and name.endswith(".so")
+                and name != published):
+            try:
+                os.unlink(os.path.join(cache_dir, name))
+            except OSError:
+                pass  # already pruned by a concurrent build
 
 
 _UNLOADED = object()
@@ -424,47 +461,88 @@ def _c_array(array, dtype, shape) -> bool:
     )
 
 
+#: The ctypes mirror of ``_blockloop.c``'s ``struct model``, defined on
+#: first use (see :func:`_model_struct`).
+_MODEL = None
+
+
+def _model_struct():
+    """The ctypes ``Structure`` laid out as ``struct model`` in C."""
+    global _MODEL
+    if _MODEL is None:
+        import ctypes
+
+        i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+
+        class Model(ctypes.Structure):
+            _fields_ = [
+                ("n", i64), ("replicas", i64), ("k", i64), ("lazy", i64),
+                ("table", ptr), ("stride", i64), ("offsets", ptr),
+                ("table_size", i64), ("degrees", ptr), ("tails", ptr),
+                ("heads", ptr), ("edges", i64), ("alpha", f64),
+                ("beta_k", f64), ("pi", ptr),
+            ]
+
+        _MODEL = Model
+    return _MODEL
+
+
 class BlockStepper:
-    """The jit kernel's one-call blocks: decode and execute in C.
+    """The jit kernel's one-call blocks: draw, decode and execute in C.
 
     Serves one batch of node ``k = 1``, node ``k = 2``, edge or lazy
-    ``k = 1`` replicas.  A block is one ``rng.random`` fill of the
-    ``(R, B)`` uniforms — the fused kernel's draw, so the stream is
-    unchanged — and one ``block_step`` call that decodes the active
-    columns in place, range-checks every decoded index and runs the
-    rounds.  The buffers (uniforms, the decoded indices in the packed
-    ``cat_idx`` layout of :class:`BlockPlan`, lazy coins, pi weights and
-    the record outputs) belong to the stepper and are reused from block
-    to block, growing only when a block needs more.  :meth:`bind`
-    installs a graph snapshot's sampling source.
+    ``k = 1`` replicas.  A block is one ``block_step`` call that draws
+    the block's ``(R, B)`` uniforms from the batch generator's bit
+    stream — NumPy's ``next_double``, the function ``rng.random`` calls
+    once per double, in the same C order, so the stream is the fused
+    kernel's — decodes the active columns, range-checks every decoded
+    index and runs the rounds.  :meth:`consensus` runs
+    ``run_to_consensus_batch``'s blocks and witness checks in one
+    ``consensus_run`` call.  The buffers (the decoded indices in the
+    packed ``cat_idx`` layout of :class:`BlockPlan`, lazy coins, pi
+    weights, the record outputs and the check flags) belong to the
+    stepper and are reused from block to block, growing only when a
+    block needs more.  :meth:`bind` installs a graph snapshot's sampling
+    source.
 
-    :attr:`nbytes` is the plan memory held — uniforms, decoded indices,
-    coins and weights; the record outputs and the row scratch are the
-    executor's, as for fused — and is reported to
-    ``engine.plan_peak_bytes`` whenever it grows.
+    :attr:`nbytes` is the plan memory held — decoded indices, coins and
+    weights; the record outputs and the row scratch are the executor's,
+    as for fused — and is reported to ``engine.plan_peak_bytes``
+    whenever it grows.  No uniforms are buffered: they go straight from
+    the bit generator into the decode.
     """
 
-    _PLAN_BUFFERS = ("u", "index", "keep", "weights")
+    _PLAN_BUFFERS = ("index", "keep", "weights")
 
     def __init__(self, loop, replicas: int, n: int, k: int, lazy: bool,
                  alpha: float) -> None:
+        import ctypes
+
         self._step = loop.block_step
+        self._consensus = loop.consensus_run
         self.replicas = replicas
         self.n = n
         self.k = k
         self.lazy = lazy
-        self.alpha = alpha
-        self.beta_k = (1.0 - alpha) / k
+        self._model = _model_struct()(
+            n=n, replicas=replicas, k=k, lazy=int(lazy), alpha=alpha,
+            beta_k=(1.0 - alpha) / k,
+        )
+        self._model_ptr = ctypes.addressof(self._model)
         self._buffers: dict = {}
         self._pointers: dict = {}
         self.nbytes = 0
         self._flat = self._rows = None
         self._flat_ptr = self._rows_ptr = None
-        self._source: tuple = ()
-        self._pi = None
-        self._pi_ptr = None
+        self._rng = self._lock = None
+        self._draw: tuple = ()
+        self._has_pi = False
         self.stamp = np.zeros(1)
         self._stamp_ptr = self.stamp.ctypes.data
+        self.stats = np.zeros(4, np.int64)
+        self._stats_ptr = self.stats.ctypes.data
+        self.times = np.zeros(3)
+        self._times_ptr = self.times.ctypes.data
 
     def bind(self, *, degrees=None, table=None, stride=0, offsets=None,
              tails=None, heads=None, pi=None) -> None:
@@ -495,16 +573,16 @@ class BlockStepper:
             raise ParameterError(
                 f"pi must be a C-contiguous float64 vector of length {self.n}"
             )
-        pointer = _pointer
-        self._source = (
-            pointer(table), int(stride), pointer(offsets),
-            0 if table is None else table.size, pointer(degrees),
-            pointer(tails), pointer(heads), 0 if tails is None else tails.size,
-        )
+        model = self._model
+        for name, (array, _) in arrays.items():
+            setattr(model, name, _pointer(array))
+        model.stride = int(stride)
+        model.table_size = 0 if table is None else table.size
+        model.edges = 0 if tails is None else tails.size
+        model.pi = _pointer(pi)
         # The pointers are only valid while the arrays live.
-        self._arrays = arrays
-        self._pi = pi
-        self._pi_ptr = pointer(pi)
+        self._arrays = (arrays, pi)
+        self._has_pi = pi is not None
 
     def _buffer(self, name: str, count: int, dtype):
         """A reusable buffer of at least ``count`` entries and its address."""
@@ -520,8 +598,36 @@ class BlockStepper:
                 METRICS.peak("engine.plan_peak_bytes", self.nbytes)
         return array, self._pointers[name]
 
+    def _target(self, flat, rows) -> None:
+        """Check and cache the state and active-row addresses."""
+        if flat is not self._flat:
+            if not (_c_array(flat, np.float64, (self.replicas * self.n,))
+                    and flat.flags.writeable):
+                raise ParameterError("flat must be a writeable float64 vector")
+            self._flat, self._flat_ptr = flat, flat.ctypes.data
+        if rows is not self._rows:
+            full = rows.size == self.replicas
+            if not (full or _c_array(rows, np.int64, (rows.size,))):
+                raise ParameterError("rows must be a C-contiguous int64 vector")
+            self._rows, self._rows_ptr = rows, None if full else rows.ctypes.data
+
+    def _generator(self, rng):
+        """Cache ``rng``'s bit-generator interface; returns its lock."""
+        if rng is not self._rng:
+            import ctypes
+
+            bit_generator = rng.bit_generator
+            interface = bit_generator.ctypes
+            self._draw = (
+                interface.state_address,
+                ctypes.cast(interface.next_double, ctypes.c_void_p).value,
+            )
+            self._rng, self._lock = rng, bit_generator.lock
+        return self._lock
+
     def run(self, rng, flat, rows, rounds: int, record: bool, timed: bool):
-        """Advance ``rows`` of ``flat`` by one ``rounds``-round block.
+        """Advance ``rows`` (increasing replica ids) of ``flat`` by one
+        ``rounds``-round block, drawing its uniforms from ``rng``.
 
         Returns ``None`` in plain mode, else ``(write_idx, keep,
         weights, old, new)`` as ``(R, A)`` views of the stepper's
@@ -529,28 +635,16 @@ class BlockStepper:
         none), valid until the next block.  With ``timed``, ``stamp[0]``
         receives the ``perf_counter`` time at which decoding ended.
         """
-        B = self.replicas
         A = rows.size
         cells = rounds * A
         width = (self.k + 1) * A
-        if flat is not self._flat:
-            if not (_c_array(flat, np.float64, (B * self.n,))
-                    and flat.flags.writeable):
-                raise ParameterError("flat must be a writeable float64 vector")
-            self._flat, self._flat_ptr = flat, flat.ctypes.data
-        if rows is not self._rows:
-            full = A == B
-            if not (full or _c_array(rows, np.int64, (A,))):
-                raise ParameterError("rows must be a C-contiguous int64 vector")
-            self._rows, self._rows_ptr = rows, None if full else rows.ctypes.data
-        u, u_ptr = self._buffer("u", rounds * B, np.float64)
-        rng.random(out=u if u.size == rounds * B else u[: rounds * B])
+        self._target(flat, rows)
         index, index_ptr = self._buffer("index", rounds * width, np.int64)
         keep = keep_ptr = weights = weights_ptr = None
         if self.lazy:
             keep, keep_ptr = self._buffer("keep", cells, np.uint8)
         if record:
-            if self._pi is not None:
+            if self._has_pi:
                 weights, weights_ptr = self._buffer("weights", cells, np.float64)
             old, old_ptr = self._buffer("old", cells, np.float64)
             new, new_ptr = self._buffer("new", cells, np.float64)
@@ -558,17 +652,14 @@ class BlockStepper:
         else:
             old_ptr = new_ptr = None
             _, scratch_ptr = self._buffer("scratch", A, np.float64)
-        status = self._step(
-            self._flat_ptr, self.n, B, u_ptr, self._rows_ptr, A, rounds,
-            self.k, self.lazy, *self._source, self.alpha, self.beta_k,
-            self._pi_ptr, index_ptr, keep_ptr, weights_ptr, scratch_ptr,
-            old_ptr, new_ptr, self._stamp_ptr if timed else None,
-        )
-        if status:
-            raise IndexError(
-                f"decoded selection out of range of the {self.n}-node state "
-                "or its sampling source"
+        with self._generator(rng):
+            status = self._step(
+                self._model_ptr, self._flat_ptr, *self._draw, self._rows_ptr,
+                A, rounds, index_ptr, keep_ptr, weights_ptr, scratch_ptr,
+                old_ptr, new_ptr, self._stamp_ptr if timed else None,
             )
+        if status:
+            raise self._out_of_range()
         if not record:
             return None
         shape = (rounds, A)
@@ -578,6 +669,60 @@ class BlockStepper:
             None if weights is None else weights[:cells].reshape(shape),
             old[:cells].reshape(shape),
             new[:cells].reshape(shape),
+        )
+
+    def consensus(self, rng, flat, rows, block: int, check_every: int,
+                  budget: int, tol: float, hi, lo, once: bool, timed: bool):
+        """Run blocks and witness checks in one ``consensus_run`` call.
+
+        Intervals of ``check_every`` rounds (the last cut to the
+        ``budget`` of rounds) run in blocks of at most ``block`` rounds
+        and end in the witness check of ``run_to_consensus_batch``, which
+        refreshes the ``(B,)`` witness nodes ``hi``/``lo`` in place.  The
+        call returns after the first check that flags a converged row,
+        when the budget is spent or, with ``once``, after one check.
+        Returns the last check's ``(A,)`` boolean mask of converged rows.
+        :attr:`stats` receives the rounds, blocks and checks run and the
+        rows scanned, also when a decoded index out of range raises
+        ``IndexError`` (the blocks before it ran); with ``timed``,
+        :attr:`times` receives the seconds spent drawing and decoding,
+        executing, and checking.
+        """
+        self.stats[:] = 0
+        self.times[:] = 0.0
+        A = rows.size
+        self._target(flat, rows)
+        for witness in (hi, lo):
+            if not (_c_array(witness, np.int64, (self.replicas,))
+                    and witness.flags.writeable):
+                raise ParameterError(
+                    "witnesses must be writeable int64 vectors of length "
+                    f"{self.replicas}"
+                )
+        largest = min(block, check_every, budget)
+        _, index_ptr = self._buffer(
+            "index", largest * (self.k + 1) * A, np.int64
+        )
+        keep_ptr = None
+        if self.lazy:
+            _, keep_ptr = self._buffer("keep", largest * A, np.uint8)
+        _, scratch_ptr = self._buffer("scratch", A, np.float64)
+        flags, flags_ptr = self._buffer("flags", A, np.uint8)
+        with self._generator(rng):
+            status = self._consensus(
+                self._model_ptr, self._flat_ptr, *self._draw, self._rows_ptr,
+                A, index_ptr, keep_ptr, scratch_ptr, block, check_every,
+                budget, tol, hi.ctypes.data, lo.ctypes.data, flags_ptr,
+                once, self._stats_ptr, self._times_ptr if timed else None,
+            )
+        if status:
+            raise self._out_of_range()
+        return flags[:A].view(np.bool_)
+
+    def _out_of_range(self) -> IndexError:
+        return IndexError(
+            f"decoded selection out of range of the {self.n}-node state "
+            "or its sampling source"
         )
 
 
@@ -601,7 +746,33 @@ def make_block_stepper(kernel: str, replicas: int, n: int, k: int,
 # ----------------------------------------------------------------------
 # Convergence detection
 # ----------------------------------------------------------------------
-def fold_block(old, new, weights, s1, s2, epsilon: float, scan: int):
+class FoldBuffers:
+    """:func:`fold_block`'s outputs, reused from block to block.
+
+    One per batch: ``first`` and the ``(3, A)`` crossing moments and
+    last phi grow to the widest block seen, and their addresses are
+    looked up once per growth rather than on every call.  Holds raw
+    addresses, so a copied batch must make its own.
+    """
+
+    def __init__(self) -> None:
+        self._first = np.empty(0, np.int64)
+        self._out = np.empty((3, 0))
+        self._pointers: tuple = ()
+
+    def take(self, active: int):
+        """``(first, out, pointers)`` views for ``active`` columns."""
+        if self._first.size < active:
+            self._first = np.empty(active, np.int64)
+            self._out = np.empty((3, active))
+            self._pointers = (
+                self._first.ctypes.data, *(row.ctypes.data for row in self._out)
+            )
+        return self._first[:active], self._out[:, :active], self._pointers
+
+
+def fold_block(old, new, weights, s1, s2, epsilon: float, scan: int,
+               buffers: FoldBuffers | None = None):
     """Fold one recorded block's moment increments and find its crossings.
 
     ``old`` and ``new`` are a record-mode block's ``(R, A)`` written
@@ -616,7 +787,8 @@ def fold_block(old, new, weights, s1, s2, epsilon: float, scan: int):
     of the leading ``scan`` rounds whose ``phi = s2 - s1^2`` is
     ``<= epsilon`` (``-1`` if none; a NaN phi never counts), the moments
     just after that round (meaningful only where ``first >= 0``), and the
-    last round's ``max(phi, 0)``.
+    last round's ``max(phi, 0)``.  With ``buffers`` the compiled pass
+    writes them into those reused arrays, valid until their next fold.
 
     One compiled pass (``detect_block``) when the block-loop library
     loads, else the NumPy fold below; both perform the same IEEE
@@ -638,13 +810,12 @@ def fold_block(old, new, weights, s1, s2, epsilon: float, scan: int):
         and _c_array(s2, np.float64, (active,)) and s2.flags.writeable
     ):
         return _fold_numpy(old, new, weights, s1, s2, epsilon, scan)
-    first = np.empty(active, np.int64)
-    out = np.empty((3, active))
+    first, out, pointers = (buffers or FoldBuffers()).take(active)
     status = loop.detect_block(
         old.ctypes.data, new.ctypes.data, rounds, active,
         None if scalar else weights.ctypes.data, 0 if scalar else weights.size,
         float(weights) if scalar else 0.0, scan, epsilon, s1.ctypes.data,
-        s2.ctypes.data, first.ctypes.data, *(row.ctypes.data for row in out),
+        s2.ctypes.data, *pointers,
     )
     if status:  # pragma: no cover - the arguments were checked above
         raise ParameterError("detect_block rejected its arguments")

@@ -12,9 +12,15 @@ JSON-serialisable dict — the ``telemetry`` block attached to
   "counters": {...run-scoped...},  "gauges": {...}, "peaks": {...},
   "streams": {"series": {...}, "histograms": {...}},
   "timers": {"engine.time.plan_s": ..., "engine.time.execute_s": ...,
-             "engine.time.detect_s": ..., "engine.time.resync_s": ...}
+             "engine.time.detect_s": ..., "engine.time.resync_s": ...,
+             "engine.time.harvest_s": ...}
 }
 ```
+
+The timers are seconds on the run's tracer: block plan (RNG draw and
+decode) and execute, ``run_until_phi``'s detection, exact moment
+resyncs, and ``run_to_consensus_batch``'s checks with the finishing of
+their converged rows (harvest).
 
 :func:`chrome_trace` converts that block into the Chrome
 ``chrome://tracing`` / Perfetto event format (``"X"`` complete events,
@@ -120,7 +126,7 @@ def summarize(telemetry: Mapping[str, Any], top: int = 12) -> dict:
     "kernel", "engine_time", "shards"}`` where ``top_spans`` aggregates
     by span name (calls, total, self time) sorted by self time, ``cache``
     reports the hit/miss/byte counters, ``kernel`` the dispatch counters,
-    ``engine_time`` the engine's plan/execute/detect/resync split
+    ``engine_time`` the engine's plan/execute/detect/resync/harvest split
     (timers ``engine.time.*``), and ``shards`` the balance statistics over
     ``engine.shard`` spans.
     """

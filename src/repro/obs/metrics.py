@@ -42,8 +42,9 @@ Conventions
   ``engine.plan_peak_bytes``, the block plan memory held: a
   NumPy-planned block's index, weight and coin arrays
   (``BlockPlan.nbytes``, set once per block), or, on the jit kernel's
-  one-call path, the batch's reused uniform, decoded-index, coin and
-  weight buffers (``BlockStepper.nbytes``, set whenever they grow).
+  one-call path, the batch's reused decoded-index, coin and weight
+  buffers (``BlockStepper.nbytes``, set whenever they grow; that path
+  holds no uniform buffer, since the C loop draws from the bit stream).
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ from repro.engine.driver import (
     PHI,
     WEIGHTED_AVERAGE,
 )
+from repro.engine.kernels import resolve_kernel
 from repro.exceptions import ConvergenceError, ParameterError
 from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import cycle_graph, lollipop_graph, random_regular_graph
@@ -450,20 +451,213 @@ class TestWitnessHarvestProperty:
         tol=st.sampled_from([1e-3, 1e-6, 1e-9]),
         check_every=st.integers(1, 100),
         edge=st.booleans(),
+        kernel=st.sampled_from(["fused", "jit"]),
     )
-    def test_matches_full_scan_oracle(self, name, seed, tol, check_every, edge):
+    def test_matches_full_scan_oracle(
+        self, name, seed, tol, check_every, edge, kernel
+    ):
+        """Under jit the blocks and checks run in C (``consensus_run``),
+        under fused in the per-check loop; both equal the full scan."""
         graph = self.GRAPHS[name]
         x0 = np.random.default_rng(seed).standard_normal(graph.number_of_nodes())
         cls = BatchEdgeModel if edge else BatchNodeModel
 
         def build():
-            return cls(graph, x0, 0.5, replicas=6, seed=seed)
+            return cls(graph, x0, 0.5, replicas=6, seed=seed, kernel=kernel)
 
         result = run_to_consensus_batch(
             build(), discrepancy_tol=tol, check_every=check_every
         )
         reference = _full_scan_consensus(build(), tol, 50_000_000, check_every)
         _assert_same_consensus(result, reference)
+
+
+#: Whether the compiled block loop builds and loads on this machine.
+HAS_JIT = resolve_kernel("auto") == "jit"
+
+
+def _consensus_graph(kind):
+    """Graphs with n not a power of two; star and lollipop have leaves of
+    degree 1, so they only carry the k = 1 shapes."""
+    if kind == "star":
+        return nx.star_graph(12)
+    if kind == "lollipop":
+        return lollipop_graph(8)
+    if kind == "er":
+        return nx.gnp_random_graph(15, 0.4, seed=1)
+    return random_regular_graph(14, 5, seed=1)
+
+
+#: (kind, k, lazy) shapes the jit kernel runs to consensus in C.
+CONSENSUS_SHAPES = [("node", 1, False), ("node", 2, False), ("node", 1, True),
+                    ("edge", 1, False), ("edge", 1, True)]
+
+#: Counters the C loop must advance exactly as the per-check loop does.
+CONSENSUS_COUNTERS = ("engine.replica_steps", "engine.rng_blocks",
+                      "engine.harvest.rows", "engine.harvest.scanned_rows")
+
+
+def _consensus_twins(shape, graph, backend="auto", x0=None, seed=3,
+                     replicas=8, block_rounds=None, bit_generator=None):
+    """Builders of the same batch under fused and under jit."""
+    kind, k, lazy = shape
+    n = graph.number_of_nodes()
+    if x0 is None:
+        x0 = np.random.default_rng(seed).standard_normal(n)
+
+    def build(kernel):
+        rng = (seed if bit_generator is None
+               else np.random.Generator(bit_generator(seed)))
+        if kind == "node":
+            batch = BatchNodeModel(graph, x0, 0.5, k=k, replicas=replicas,
+                                   seed=rng, lazy=lazy, backend=backend,
+                                   kernel=kernel)
+        else:
+            batch = BatchEdgeModel(graph, x0, 0.5, replicas=replicas,
+                                   seed=rng, lazy=lazy, kernel=kernel)
+        if block_rounds is not None:
+            batch.block_rounds = block_rounds
+        return batch
+
+    return build
+
+
+def _consensus_outcome(batch, **kwargs):
+    """Result (or the ConvergenceError's text), the run's counters, the
+    final state and the generator's next draw."""
+    baseline = METRICS.snapshot()
+    try:
+        outcome = run_to_consensus_batch(batch, **kwargs)
+    except ConvergenceError as exc:
+        outcome = str(exc)
+    counters = METRICS.delta(baseline)["counters"]
+    return (outcome, {name: counters.get(name, 0) for name in CONSENSUS_COUNTERS},
+            batch.values.copy(), batch.active, batch.t, batch.rng.random())
+
+
+def _assert_same_outcome(got, want):
+    (result, counters, values, active, t, draw) = got
+    (result_w, counters_w, values_w, active_w, t_w, draw_w) = want
+    if isinstance(result_w, str):
+        assert result == result_w
+    else:
+        _assert_same_consensus(
+            result, (result_w.t, result_w.value,
+                     result_w.residual_discrepancy, result_w.phi),
+        )
+    assert counters == counters_w
+    np.testing.assert_array_equal(values, values_w)
+    np.testing.assert_array_equal(active, active_w)
+    assert (t, draw) == (t_w, draw_w)
+
+
+@pytest.mark.skipif(not HAS_JIT, reason="no C compiler for the jit loop")
+class TestConsensusInC:
+    """The jit kernel's consensus loop (blocks and witness checks in one
+    C call) ends bit for bit where the per-check loop under fused ends:
+    results, counters, state, time and the generator's next draw."""
+
+    def _check(self, build, **kwargs):
+        jit = build("jit")
+        assert jit._checks_in_c() and not build("fused")._checks_in_c()
+        got = _consensus_outcome(jit, **kwargs)
+        want = _consensus_outcome(build("fused"), **kwargs)
+        _assert_same_outcome(got, want)
+        return got
+
+    @pytest.mark.parametrize(
+        "shape, graph, backend",
+        [
+            (shape, graph, backend)
+            for shape in CONSENSUS_SHAPES
+            for graph in ("star", "lollipop", "er", "regular")
+            # The edge model samples from its edge list, not a backend.
+            for backend in (("dense",) if shape[0] == "edge" else ("dense", "csr"))
+            if shape[1] == 1 or graph not in ("star", "lollipop")
+        ],
+    )
+    def test_matches_fused_and_the_full_scan(self, shape, graph, backend):
+        build = _consensus_twins(shape, _consensus_graph(graph), backend)
+        result = self._check(build, discrepancy_tol=1e-6)[0]
+        _assert_same_consensus(
+            result, _full_scan_consensus(build("fused"), 1e-6, 50_000_000)
+        )
+
+    @pytest.mark.parametrize("block_rounds", [None, 7, 40])
+    @pytest.mark.parametrize("check_every", [1, 10, 64, 100])
+    @pytest.mark.parametrize("shape", [("node", 1, False), ("edge", 1, True)])
+    def test_check_intervals_and_block_sizes(self, shape, check_every,
+                                             block_rounds):
+        build = _consensus_twins(shape, _consensus_graph("lollipop"),
+                                 block_rounds=block_rounds)
+        self._check(build, discrepancy_tol=1e-5, check_every=check_every)
+
+    @pytest.mark.parametrize("check_every", [64, 100])
+    def test_budget_ending_mid_interval(self, check_every):
+        """1000 rounds is no multiple of either interval: the last one is
+        cut to the budget, checked, and the same ConvergenceError ends
+        both runs at t = 1000."""
+        build = _consensus_twins(("node", 1, False), _consensus_graph("lollipop"),
+                                 block_rounds=48)
+        message, *_, t, _ = self._check(
+            build, discrepancy_tol=1e-9, max_steps=1000, check_every=check_every
+        )
+        assert "after 1000 steps" in message and t == 1000
+
+    def test_nan_replica(self):
+        graph = _consensus_graph("regular")
+        x0 = np.tile(np.random.default_rng(4).standard_normal(14), (5, 1))
+        x0[2, 6] = np.nan
+        build = _consensus_twins(("node", 2, False), graph, x0=x0, replicas=5)
+        message, _, _, active, _, _ = self._check(
+            build, discrepancy_tol=1e-6, max_steps=20_000
+        )
+        assert "1 of 5 replicas" in message
+        assert active.tolist() == [False, False, True, False, False]
+
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.Philox, np.random.SFC64, np.random.MT19937]
+    )
+    def test_other_bit_generators(self, bit_generator):
+        build = _consensus_twins(("node", 1, True), _consensus_graph("er"),
+                                 bit_generator=bit_generator)
+        self._check(build, discrepancy_tol=1e-6)
+
+    def test_traced_run_equals_untraced(self):
+        """A traced run returns after every check (to sample the streams)
+        and times plan, execute and harvest; its result, counters and
+        state equal the untraced run's."""
+        build = _consensus_twins(("edge", 1, False), _consensus_graph("er"))
+        plain = _consensus_outcome(build("jit"), discrepancy_tol=1e-6)
+        tracers = {"jit": Tracer(), "fused": Tracer()}
+        for kernel, tracer in tracers.items():
+            with activate(tracer):
+                traced = _consensus_outcome(build(kernel), discrepancy_tol=1e-6)
+            _assert_same_outcome(traced, plain)
+        timers = tracers["jit"].timers
+        for name in ("plan_s", "execute_s", "harvest_s"):
+            assert timers[f"engine.time.{name}"] > 0
+        # One stream sample per check under both kernels.
+        checks = [
+            tracer.streams.series("engine.active_replicas")
+            for tracer in tracers.values()
+        ]
+        assert len(checks[0]) > 2 and checks[0].ts == checks[1].ts
+        assert checks[0].values == checks[1].values
+
+    def test_bad_decode_raises_and_writes_nothing(self):
+        """A corrupted sampling source: the first block's decode fails, so
+        the call raises with the state and time untouched."""
+        graph = _consensus_graph("regular")
+        batch = _consensus_twins(("edge", 1, False), graph)("jit")
+        heads = batch._heads.copy()
+        heads[:] = 14  # every decoded neighbour is out of range
+        batch._stepper.bind(tails=batch._tails, heads=heads)
+        before = batch.values.copy()
+        with pytest.raises(IndexError):
+            run_to_consensus_batch(batch, discrepancy_tol=1e-6)
+        np.testing.assert_array_equal(batch.values, before)
+        assert batch.t == 0
 
 
 class TestSampleCheckpoints:

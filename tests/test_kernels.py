@@ -472,6 +472,27 @@ class TestBlockStepper:
         )
         _assert_twins_agree(fused, jit, block_rounds, sorted(frozen))
 
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.PCG64, np.random.Philox, np.random.SFC64]
+    )
+    @pytest.mark.parametrize("model, k, lazy", STEPPER_SHAPES)
+    def test_draws_the_generators_stream(self, model, k, lazy, bit_generator):
+        """The C loop takes its uniforms from the bit generator's
+        next_double: values, hitting times and the next draw equal the
+        fused kernel's rng.random blocks, for any bit generator."""
+        graph = _stepper_graph("er")
+        values = np.random.default_rng(2).normal(size=graph.number_of_nodes())
+        cls, extra = (
+            (BatchNodeModel, {"k": k}) if model == "node" else (BatchEdgeModel, {})
+        )
+        fused, jit = (
+            cls(graph, values, 0.4, replicas=7, lazy=lazy, kernel=kernel,
+                seed=np.random.Generator(bit_generator(9)), **extra)
+            for kernel in ("fused", "jit")
+        )
+        _assert_twins_agree(fused, jit, 45, [2, 5])
+        assert jit.rng.random() == fused.rng.random()
+
     @pytest.mark.parametrize("model, k, lazy", STEPPER_SHAPES)
     def test_eligible_shapes_never_plan_in_numpy(self, monkeypatch, model, k, lazy):
         import repro.engine.batch as batch_mod
@@ -665,6 +686,65 @@ class TestBlockLoopLoader:
         assert list(cache.iterdir()) == [library]
         assert library.stat().st_mtime_ns == built
 
+    @needs_jit
+    def test_a_new_build_prunes_superseded_libraries(self, tmp_path):
+        """Publishing a library deletes the other blockloop-*.so files of
+        the cache directory and nothing else."""
+        import shlex
+        import sysconfig
+
+        cache = tmp_path / "cache"
+        cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+        assert kernels_mod.load_blockloop(cc, str(cache)) is not None
+        (first,) = cache.iterdir()
+        (cache / "notes.txt").write_text("kept")
+        (cache / ".blockloop-building.so").write_bytes(b"")  # a build in flight
+        assert kernels_mod.load_blockloop([*cc, "-DVARIANT"], str(cache)) is not None
+        names = {path.name for path in cache.iterdir()}
+        (second,) = names - {".blockloop-building.so", "notes.txt"}
+        assert len(names) == 3 and second != first.name
+        assert second.startswith("blockloop-") and second.endswith(".so")
+
+    @needs_jit
+    def test_a_library_pruned_before_loading_is_rebuilt(
+        self, monkeypatch, tmp_path
+    ):
+        """The library disappears between the existence check and the
+        load (another build pruned it): a cache miss, so it is built."""
+        import ctypes
+
+        cache = tmp_path / "cache"
+        assert kernels_mod.load_blockloop(cache_dir=str(cache)) is not None
+        (library,) = cache.iterdir()
+        load = ctypes.CDLL
+        calls = []
+
+        def pruned_first(path, *args, **kwargs):
+            calls.append(path)
+            if len(calls) == 1:
+                os.unlink(path)
+                raise OSError(f"{path}: cannot open shared object file")
+            return load(path, *args, **kwargs)
+
+        monkeypatch.setattr(ctypes, "CDLL", pruned_first)
+        assert kernels_mod.load_blockloop(cache_dir=str(cache)) is not None
+        assert calls == [str(library)] * 2
+        assert list(cache.iterdir()) == [library]
+
+    def test_a_library_that_fails_to_load_is_not_rebuilt(self, tmp_path):
+        cache = tmp_path / "cache"
+        script = tmp_path / "cc.py"
+        # A "compiler" that writes a file no loader accepts.
+        script.write_text(
+            "import sys\n"
+            "open(sys.argv[sys.argv.index('-o') + 1], 'w').write('junk')\n"
+            f"open({str(tmp_path / 'builds')!r}, 'a').write('x')\n"
+        )
+        assert kernels_mod.load_blockloop(
+            [sys.executable, str(script)], str(cache)
+        ) is None
+        assert (tmp_path / "builds").read_text() == "x"  # built once
+
     def test_import_builds_nothing(self, tmp_path):
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path))
         env["PYTHONPATH"] = os.pathsep.join(sys.path)
@@ -674,6 +754,95 @@ class TestBlockLoopLoader:
         )
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
         assert list(tmp_path.iterdir()) == []
+
+
+def _consensus_check(flat, rows, tol, hi, lo, flags):
+    """Call the compiled witness check on NumPy arrays."""
+    replicas, n = flat.shape
+    return kernels_mod.blockloop().consensus_check(
+        flat.ctypes.data, n, replicas,
+        None if rows is None else rows.ctypes.data,
+        replicas if rows is None else rows.size, tol, hi.ctypes.data,
+        lo.ctypes.data, flags.ctypes.data,
+    )
+
+
+@needs_jit
+class TestConsensusCheck:
+    """consensus_check, the witness check of the C consensus loop, decides
+    what run_to_consensus_batch's NumPy check decides."""
+
+    def test_scans_rows_like_argmax_and_argmin(self):
+        """Ties, signed zeros, infinities and NaNs: the first occurrence
+        wins and the first NaN wins, as in NumPy."""
+        rng = np.random.default_rng(11)
+        palette = np.array([-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan])
+        flat = rng.choice(palette, size=(400, 9), p=[.1, .2, .2, .2, .2, .05, .05])
+        flat[:50] = 0.5  # converged rows
+        flat[50:60] = np.nan
+        hi = np.zeros(400, np.int64)
+        lo = np.zeros(400, np.int64)
+        flags = np.full(400, 7, np.uint8)
+        # Equal witnesses: every gap is 0 or NaN, so every row is scanned.
+        assert _consensus_check(flat, None, 1e-9, hi, lo, flags) == 400
+        np.testing.assert_array_equal(hi, flat.argmax(axis=1))
+        np.testing.assert_array_equal(lo, flat.argmin(axis=1))
+        rows = np.arange(400)
+        spread = flat[rows, hi] - flat[rows, lo]
+        np.testing.assert_array_equal(flags.view(bool), spread <= 1e-9)
+        assert flags[:50].all() and not flags[50:60].any()
+
+    def test_equal_witnesses_with_a_wide_spread_do_not_freeze(self):
+        """The scripted states of the NumPy check's test: a zero witness
+        gap is scanned, not frozen; a wide gap is skipped."""
+        state = np.full((3, 36), 0.5)
+        state[1, :3] = (0.0, 1.0, 0.5)
+        rows = np.array([1], np.int64)
+        hi = np.zeros(3, np.int64)
+        lo = np.zeros(3, np.int64)
+        flags = np.zeros(1, np.uint8)
+        assert _consensus_check(state, rows, 1e-6, hi, lo, flags) == 1
+        assert (hi[1], lo[1], flags[0]) == (1, 0, 0)
+        state[1, :3] = (0.5, 0.5, 0.9)
+        assert _consensus_check(state, rows, 1e-6, hi, lo, flags) == 1
+        assert (hi[1], lo[1], flags[0]) == (2, 0, 0)
+        state[1, :3] = (0.5, 0.5, 0.5)
+        state[1, 2] = 0.5 + 1e-3
+        assert _consensus_check(state, rows, 1e-6, hi, lo, flags) == 0
+        assert (hi[1], lo[1], flags[0]) == (2, 0, 0)
+        state[1, 2] = 0.5
+        assert _consensus_check(state, rows, 1e-6, hi, lo, flags) == 1
+        assert flags[0] == 1
+        np.testing.assert_array_equal(hi[[0, 2]], 0)
+
+    def test_a_gap_or_spread_of_exactly_tol(self):
+        """A witness gap equal to tol is scanned (``not >``) and a spread
+        equal to tol converges (``<=``), as in the NumPy check."""
+        state = np.array([[0.25, 0.75, 0.5], [0.25, 0.75, 1.0]])
+        hi = np.array([1, 1], np.int64)
+        lo = np.array([0, 0], np.int64)
+        flags = np.zeros(2, np.uint8)
+        assert _consensus_check(state, None, 0.5, hi, lo, flags) == 2
+        assert flags.tolist() == [1, 0]
+        assert (hi.tolist(), lo.tolist()) == ([1, 2], [0, 0])
+
+    def test_bad_arguments_return_minus_one_and_write_nothing(self):
+        flat = np.zeros((4, 5))
+        flat[:, 0] = 1.0
+        flags = np.full(4, 7, np.uint8)
+        for rows, hi in (
+            (np.array([0, 2, 1], np.int64), np.zeros(4, np.int64)),  # order
+            (np.array([0, 4], np.int64), np.zeros(4, np.int64)),  # range
+            (np.array([1, 1], np.int64), np.zeros(4, np.int64)),  # repeat
+            (None, np.array([0, 0, 5, 0], np.int64)),  # witness
+            (np.array([2], np.int64), np.array([0, 0, -1, 0], np.int64)),
+        ):
+            lo = np.zeros(4, np.int64)
+            before = hi.copy()
+            assert _consensus_check(flat, rows, 1e-6, hi, lo, flags) == -1
+            np.testing.assert_array_equal(hi, before)
+            np.testing.assert_array_equal(lo, 0)
+            np.testing.assert_array_equal(flags, 7)
 
 
 class TestChunkedDetectionBackdating:

@@ -488,9 +488,9 @@ class TestApiTelemetry:
         reason="no C compiler for the jit loop",
     )
     def test_plan_peak_counts_the_stepper_buffers(self):
-        """The jit counterpart: the (R, B) float64 uniforms plus the
-        (R, 2A) int64 decoded-index scratch, held once and reused by
-        every block of the batch."""
+        """The jit counterpart: the (R, 2A) int64 decoded-index scratch,
+        held once and reused by every block of the batch.  The stepper
+        buffers no uniforms: the C loop draws them from the bit stream."""
         baseline = METRICS.snapshot()
         batch = BatchNodeModel(
             nx.cycle_graph(12), np.arange(12.0), 0.5, replicas=8, seed=1,
@@ -502,7 +502,8 @@ class TestApiTelemetry:
         assert all(batch._stepper._buffers[name] is buffer
                    for name, buffer in buffers.items())
         peaks = METRICS.delta(baseline)["peaks"]
-        assert peaks["engine.plan_peak_bytes"] == 40 * 8 * 8 + 40 * 16 * 8
+        assert peaks["engine.plan_peak_bytes"] == 40 * 16 * 8
+        assert "u" not in buffers
 
     def test_engine_timers_split_plan_and_execute(self):
         """A traced run times each block's plan and execute on the
@@ -554,6 +555,31 @@ class TestApiTelemetry:
         )
         for name in ("plan", "execute", "detect", "resync"):
             assert f"{name} " in line
+
+    @pytest.mark.parametrize("kernel", ["fused", "jit"])
+    def test_engine_timers_cover_the_consensus_harvest(self, kernel):
+        """A consensus run times every check with the finishing of its
+        converged rows (in C under jit, in NumPy under fused); its tables
+        and counters equal an untraced run's."""
+        def run(trace):
+            baseline = METRICS.snapshot()
+            result = execute(RunSpec(
+                "EXP-T222", overrides={"n": 16, "replicas": 8, "tol": 1e-3},
+                kernel=kernel, trace=trace,
+            ))
+            return result, METRICS.delta(baseline)["counters"]
+
+        plain, plain_counters = run(False)
+        traced, traced_counters = run(True)
+        assert traced.tables == plain.tables
+        assert traced_counters == plain_counters
+        assert plain_counters["engine.harvest.rows"] > 0
+        assert traced.telemetry["timers"]["engine.time.harvest_s"] > 0
+        line = next(
+            line for line in render_summary(summarize(traced.telemetry))
+            .splitlines() if line.startswith("engine time")
+        )
+        assert "harvest " in line
 
     def test_plan_peak_does_not_leak_between_runs(self):
         def peak(spec):
