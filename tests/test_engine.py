@@ -451,13 +451,14 @@ class TestWitnessHarvestProperty:
         tol=st.sampled_from([1e-3, 1e-6, 1e-9]),
         check_every=st.integers(1, 100),
         edge=st.booleans(),
-        kernel=st.sampled_from(["fused", "jit"]),
+        kernel=st.sampled_from(["fused", "auto"]),
     )
     def test_matches_full_scan_oracle(
         self, name, seed, tol, check_every, edge, kernel
     ):
-        """Under jit the blocks and checks run in C (``consensus_run``),
-        under fused in the per-check loop; both equal the full scan."""
+        """Under jit (``auto`` with a C compiler) the blocks and checks
+        run in C (``consensus_run``), under fused in the per-check loop;
+        both equal the full scan."""
         graph = self.GRAPHS[name]
         x0 = np.random.default_rng(seed).standard_normal(graph.number_of_nodes())
         cls = BatchEdgeModel if edge else BatchNodeModel

@@ -556,7 +556,13 @@ class TestApiTelemetry:
         for name in ("plan", "execute", "detect", "resync"):
             assert f"{name} " in line
 
-    @pytest.mark.parametrize("kernel", ["fused", "jit"])
+    @pytest.mark.parametrize("kernel", [
+        "fused",
+        pytest.param("jit", marks=pytest.mark.skipif(
+            kernels_mod.resolve_kernel("auto") != "jit",
+            reason="no C compiler for the jit loop",
+        )),
+    ])
     def test_engine_timers_cover_the_consensus_harvest(self, kernel):
         """A consensus run times every check with the finishing of its
         converged rows (in C under jit, in NumPy under fused); its tables
