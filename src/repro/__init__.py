@@ -111,7 +111,7 @@ from repro.exceptions import (
     ReproError,
     ScheduleError,
 )
-from repro.graphs import Adjacency, make_graph
+from repro.graphs import Adjacency
 from repro.sim import ResultTable, estimate_moments, sample_f_values
 from repro.theory import variance_bounds, variance_envelope
 
@@ -142,7 +142,6 @@ __all__ = [
     "ScheduleError",
     "estimate_moments",
     "execute",
-    "make_graph",
     "measure_t_eps",
     "run_coupled",
     "run_to_consensus",

@@ -1,8 +1,7 @@
-"""Analysis helpers: scaling fits and bound-ratio diagnostics."""
+"""Analysis helpers: bound-ratio diagnostics."""
 
-from repro.analysis.fits import loglog_slope, ratio_statistics
+from repro.analysis.fits import ratio_statistics
 
 __all__ = [
-    "loglog_slope",
     "ratio_statistics",
 ]

@@ -1,13 +1,9 @@
-"""Scaling-law fits and bound-ratio diagnostics.
+"""Bound-ratio diagnostics.
 
 The asymptotic statements (``T_eps = O(...)``, ``Var(F) = Theta(...)``)
-are validated empirically in two ways:
-
-* :func:`loglog_slope` — least-squares slope of ``log y`` against
-  ``log x``; e.g. ``Var(F)`` against ``n`` at fixed ``||xi||^2/n`` should
-  have slope close to the predicted exponent;
-* :func:`ratio_statistics` — summary of measured/bound ratios across a
-  sweep; a Theta(...) claim means the ratios stay within a constant band.
+are validated empirically by :func:`ratio_statistics`, a summary of
+measured/bound ratios across a sweep; a Theta(...) claim means the
+ratios stay within a constant band.
 """
 
 from __future__ import annotations
@@ -18,21 +14,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.exceptions import ParameterError
-
-
-def loglog_slope(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
-    """Least-squares ``(slope, intercept)`` of ``log y ~ slope log x + b``.
-
-    All entries must be positive.
-    """
-    x_arr = np.asarray(x, dtype=np.float64)
-    y_arr = np.asarray(y, dtype=np.float64)
-    if x_arr.shape != y_arr.shape or x_arr.ndim != 1 or len(x_arr) < 2:
-        raise ParameterError("x and y must be equal-length 1-D with >= 2 points")
-    if np.any(x_arr <= 0) or np.any(y_arr <= 0):
-        raise ParameterError("loglog fit requires positive data")
-    slope, intercept = np.polyfit(np.log(x_arr), np.log(y_arr), deg=1)
-    return float(slope), float(intercept)
 
 
 @dataclass(frozen=True)

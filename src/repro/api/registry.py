@@ -166,21 +166,6 @@ class Experiment:
     presets: Dict[str, Dict[str, Any]]
     module: str = ""
 
-    @property
-    def accepts_engine(self) -> bool:
-        """Whether this experiment declares the ``engine`` parameter."""
-        return "engine" in self.params
-
-    @property
-    def accepts_kernel(self) -> bool:
-        """Whether this experiment declares the ``kernel`` parameter."""
-        return "kernel" in self.params
-
-    @property
-    def accepts_graph_schedule(self) -> bool:
-        """Whether this experiment declares ``graph_schedule``."""
-        return "graph_schedule" in self.params
-
     def resolve(
         self, preset: str = "fast", overrides: Mapping[str, Any] | None = None
     ) -> Dict[str, Any]:
@@ -236,24 +221,12 @@ def merge_engine(
     Monte-Carlo runners), and an explicit override always wins.
     """
     merged = dict(overrides or {})
-    if (
-        engine is not None
-        and experiment.accepts_engine
-        and "engine" not in merged
-    ):
-        merged["engine"] = engine
-    if (
-        kernel is not None
-        and experiment.accepts_kernel
-        and "kernel" not in merged
-    ):
-        merged["kernel"] = kernel
-    if (
-        graph_schedule is not None
-        and experiment.accepts_graph_schedule
-        and "graph_schedule" not in merged
-    ):
-        merged["graph_schedule"] = graph_schedule
+    selections = {
+        "engine": engine, "kernel": kernel, "graph_schedule": graph_schedule,
+    }
+    for name, value in selections.items():
+        if value is not None and name in experiment.params:
+            merged.setdefault(name, value)
     return merged
 
 

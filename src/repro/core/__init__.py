@@ -22,14 +22,12 @@ from repro.core.dynamic import DynamicAveraging
 from repro.core.convergence import measure_t_eps, run_to_consensus
 from repro.core.edge_model import EdgeModel
 from repro.core.initial import (
-    INITIAL_FAMILIES,
     center_degree_weighted,
     center_simple,
     fiedler_aligned,
     gaussian_values,
     indicator_values,
     linear_ramp,
-    make_initial,
     rademacher_values,
     second_eigenvector_aligned,
     uniform_values,
@@ -47,7 +45,6 @@ __all__ = [
     "AveragingProcess",
     "DynamicAveraging",
     "EdgeModel",
-    "INITIAL_FAMILIES",
     "NodeModel",
     "PotentialTracker",
     "Schedule",
@@ -60,7 +57,6 @@ __all__ = [
     "gaussian_values",
     "indicator_values",
     "linear_ramp",
-    "make_initial",
     "measure_t_eps",
     "phi_pi",
     "phi_uniform",

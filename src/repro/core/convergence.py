@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.base import AveragingProcess
 from repro.exceptions import ConvergenceError, ParameterError
 
@@ -103,17 +101,3 @@ def run_to_consensus(
         f"discrepancy = {process.discrepancy:.3e} > tol = {discrepancy_tol:.3e} "
         f"after {max_steps} steps"
     )
-
-
-def epsilon_for_discrepancy(n: int, target_discrepancy: float) -> float:
-    """The paper's comparison scale: ``(eps/n)^6``-convergence implies
-    discrepancy at most ``eps`` (Section 4).
-
-    Given a target discrepancy ``eps``, return the potential threshold
-    ``(eps / n)^6`` that guarantees it.
-    """
-    if target_discrepancy <= 0:
-        raise ParameterError("target_discrepancy must be positive")
-    if n < 1:
-        raise ParameterError("n must be positive")
-    return float((target_discrepancy / n) ** 6)

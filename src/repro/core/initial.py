@@ -17,7 +17,7 @@ families play special roles:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Union
+from typing import Union
 
 import networkx as nx
 import numpy as np
@@ -125,28 +125,3 @@ def fiedler_aligned(graph: GraphLike, scale: float | None = None) -> np.ndarray:
     _, f2 = second_laplacian_eigenpair(graph)
     n = len(f2)
     return (float(n) if scale is None else float(scale)) * f2
-
-
-#: Registry of initial-value families addressable by name in experiment
-#: configs.  Graph-dependent families take the graph as first argument.
-INITIAL_FAMILIES: Dict[str, Callable[..., np.ndarray]] = {
-    "constant": constant_values,
-    "indicator": indicator_values,
-    "linear_ramp": linear_ramp,
-    "uniform": uniform_values,
-    "gaussian": gaussian_values,
-    "rademacher": rademacher_values,
-    "bipartition": bipartition_values,
-}
-
-
-def make_initial(family: str, n: int, **kwargs) -> np.ndarray:
-    """Build a named (graph-independent) initial-value family."""
-    try:
-        factory = INITIAL_FAMILIES[family]
-    except KeyError:
-        known = ", ".join(sorted(INITIAL_FAMILIES))
-        raise ParameterError(
-            f"unknown initial family {family!r}; known: {known}"
-        ) from None
-    return factory(n, **kwargs)

@@ -14,7 +14,7 @@ The process classes are thin single-replica facades over the vectorized
 dual batch engine (:mod:`repro.engine.dual`), which advances ``B``
 replicas of the diffusion loads, the correlated walks or the coalescing
 walks per round and drives the shared-schedule duality at engine scale
-(:func:`repro.dual.check_lemma_52`).
+(:func:`repro.engine.dual.run_duality_batch`).
 """
 
 from repro.dual.coalescing import CoalescingWalks, meeting_time_estimate
@@ -36,29 +36,15 @@ from repro.dual.qchain import (
     mu_closed_form,
     stationary_distribution_numeric,
 )
-from repro.dual.verification import (
-    MomentCheck,
-    check_coalescence_exact,
-    check_lemma_52,
-    check_lemma_53,
-    check_lemma_55,
-    check_proposition_54,
-)
 from repro.dual.walks import RandomWalkProcess
 
 __all__ = [
     "CoalescingWalks",
     "DiffusionProcess",
     "DualityTrace",
-    "MomentCheck",
     "QChain",
     "RandomWalkProcess",
     "averaging_step_matrix",
-    "check_coalescence_exact",
-    "check_lemma_52",
-    "check_lemma_53",
-    "check_lemma_55",
-    "check_proposition_54",
     "diffusion_step_matrix",
     "figure1_trace",
     "meeting_time_estimate",

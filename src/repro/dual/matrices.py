@@ -21,7 +21,7 @@ and the worked examples of Figures 1 and 4.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -74,16 +74,6 @@ def product_matrix(
     result = np.eye(n)
     for step in steps:
         result = diffusion_step_matrix(n, step, alpha) @ result
-    return result
-
-
-def averaging_product_matrix(
-    n: int, steps: Iterable[SelectionStep] | Schedule, alpha: float
-) -> np.ndarray:
-    """``F(T) ... F(1)`` mapping ``xi(0)`` to ``xi(T)`` in one matrix."""
-    result = np.eye(n)
-    for step in steps:
-        result = averaging_step_matrix(n, step, alpha) @ result
     return result
 
 

@@ -99,10 +99,20 @@ static void execute_cat(double *flat, const int64_t *cat, int64_t rounds,
     }
 }
 
+/* mask ? a : b for an all-ones or all-zeros mask, without a branch. */
+static inline double select_bits(uint64_t mask, double a, double b)
+{
+    union { double d; uint64_t u; } x = {a}, y = {b};
+    x.u = (x.u & mask) | (y.u & ~mask);
+    return x.d;
+}
+
 /* Lazy k = 1 rounds: replica j updates in round r only where keep[r, j];
  * new = alpha * old + beta * flat[gather].  Round r's write and gather
  * indices start at r * stride.  Skipped entries record (0, 0), so their
- * moment increments vanish. */
+ * moment increments vanish, and write back the old value they gathered:
+ * decode gives every entry an index in its own replica's row, so no
+ * round writes one entry twice, and no coin costs a branch. */
 static void execute_lazy(double *flat, const int64_t *write_idx,
                          const int64_t *gather_idx, int64_t stride,
                          const uint8_t *keep, double alpha, double beta,
@@ -115,21 +125,17 @@ static void execute_lazy(double *flat, const int64_t *write_idx,
         const uint8_t *kept = keep + r * active;
         double *next = old_blk ? new_blk + r * active : scratch;
         for (int64_t j = 0; j < active; j++) {
-            if (kept[j]) {
-                double old = flat[write[j]];
-                next[j] = alpha * old + beta * flat[gather[j]];
-                if (old_blk) {
-                    old_blk[r * active + j] = old;
-                }
-            } else if (old_blk) {
-                old_blk[r * active + j] = 0.0;
-                next[j] = 0.0;
+            const uint64_t on = -(uint64_t)kept[j];
+            const double old = flat[write[j]];
+            next[j] = select_bits(on, alpha * old + beta * flat[gather[j]],
+                                  0.0);
+            if (old_blk) {
+                old_blk[r * active + j] = select_bits(on, old, 0.0);
             }
         }
         for (int64_t j = 0; j < active; j++) {
-            if (kept[j]) {
-                flat[write[j]] = next[j];
-            }
+            flat[write[j]] = select_bits(-(uint64_t)kept[j], next[j],
+                                         flat[write[j]]);
         }
     }
 }

@@ -891,8 +891,8 @@ def run_duality_batch(
     loads, cost ``c = xi(0)^T``) through the **reversed** recorded
     stream of every replica at once, and reports the per-replica
     Lemma 5.2 residuals.  One recorded block-random stream feeds both
-    directions, for every kernel — this is ``dual/verification.py``'s
-    engine-scale conformance harness.
+    directions, for every kernel: this is the engine-scale Lemma 5.2
+    conformance harness that EXP-F1/F4 run.
     """
     from repro.engine.batch import BatchEdgeModel, BatchNodeModel
 

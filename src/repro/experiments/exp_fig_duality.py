@@ -8,9 +8,9 @@ Figure 4 repeats this with ``k = 2`` (``xi(2) = [29/4, 129/16, 9]``).
 Beyond the two fixed examples, the runners stress the Lemma 5.2 duality
 at two scales: small random graphs through the scalar coupling
 (:func:`repro.dual.duality.run_coupled`), and an **engine-scale
-shared-schedule harness** (:func:`repro.dual.check_lemma_52`) that runs
-``B`` primal replicas forward through the batch engine — under the
-selected ``kernel`` — and replays every replica's reversed recorded
+shared-schedule harness** (:func:`repro.engine.dual.run_duality_batch`)
+that runs ``B`` primal replicas forward through the batch engine — under
+the selected ``kernel`` — and replays every replica's reversed recorded
 selection stream through one batch diffusion.  ``engine="loop"``
 estimates the same table with per-replica scalar couplings (the
 oracle); both are pass/fail at machine precision.
@@ -28,7 +28,7 @@ from repro.dual.duality import (
     figure4_trace,
     run_coupled,
 )
-from repro.dual.verification import check_lemma_52
+from repro.engine.dual import run_duality_batch
 from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import erdos_renyi_graph, random_regular_graph
 from repro.rng import spawn
@@ -148,7 +148,7 @@ def _engine_duality_table(
         adjacency = Adjacency.from_graph(graph)
         initial = gaussian_values(adjacency.n, seed=seed + 17)
         if engine == "batch":
-            report = check_lemma_52(
+            report = run_duality_batch(
                 adjacency,
                 initial,
                 alpha,

@@ -5,7 +5,7 @@ package provides
 
 * :mod:`repro.graphs.generators` — named graph families used throughout the
   paper's discussion (cycle, clique, torus, hypercube, random regular,
-  Erdős–Rényi, star, barbell, …) behind a single registry,
+  Erdős–Rényi, star, barbell, …),
 * :mod:`repro.graphs.adjacency` — an immutable CSR-style adjacency structure
   optimised for the simulators' inner loops,
 * :mod:`repro.graphs.spectral` — the lazy random-walk matrix ``P``, the
@@ -17,7 +17,6 @@ package provides
 
 from repro.graphs.adjacency import Adjacency, collect_content_hashes
 from repro.graphs.generators import (
-    GRAPH_FAMILIES,
     barbell_graph,
     binary_tree_graph,
     complete_graph,
@@ -25,26 +24,22 @@ from repro.graphs.generators import (
     erdos_renyi_graph,
     hypercube_graph,
     lollipop_graph,
-    make_graph,
     path_graph,
     petersen_graph,
     random_geometric_connected,
     random_regular_graph,
     star_graph,
     torus_graph,
-    two_cliques_graph,
 )
 from repro.graphs.properties import (
     degree_vector,
     distance_classes,
     is_bipartite,
     is_regular,
-    isoperimetric_lower_bound,
     require_connected,
     require_regular,
 )
 from repro.graphs.spectral import (
-    eigenvalue_gap,
     laplacian_matrix,
     lazy_walk_matrix,
     second_laplacian_eigenpair,
@@ -55,7 +50,6 @@ from repro.graphs.spectral import (
 
 __all__ = [
     "Adjacency",
-    "GRAPH_FAMILIES",
     "barbell_graph",
     "binary_tree_graph",
     "collect_content_hashes",
@@ -63,16 +57,13 @@ __all__ = [
     "cycle_graph",
     "degree_vector",
     "distance_classes",
-    "eigenvalue_gap",
     "erdos_renyi_graph",
     "hypercube_graph",
     "is_bipartite",
     "is_regular",
-    "isoperimetric_lower_bound",
     "laplacian_matrix",
     "lazy_walk_matrix",
     "lollipop_graph",
-    "make_graph",
     "path_graph",
     "petersen_graph",
     "random_geometric_connected",
@@ -85,5 +76,4 @@ __all__ = [
     "star_graph",
     "stationary_distribution",
     "torus_graph",
-    "two_cliques_graph",
 ]

@@ -6,19 +6,13 @@ out: the clique and the cycle (whose ``Var(F)`` the paper proves to be
 asymptotically identical), regular graphs in general (Theorem 2.2(2)),
 the star (worst-case ``rho`` in [18]), expanders, and irregular families
 for the degree-weighted martingale of Lemma 4.1.
-
-:data:`GRAPH_FAMILIES` maps a family name to its generator so experiment
-sweeps can be configured with plain strings, and :func:`make_graph`
-dispatches through it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict
 
 import networkx as nx
-import numpy as np
 
 from repro.exceptions import GraphError, ParameterError
 from repro.rng import SeedLike, as_generator
@@ -139,19 +133,6 @@ def lollipop_graph(n: int) -> nx.Graph:
     return _relabel(nx.lollipop_graph(clique, n - clique))
 
 
-def two_cliques_graph(n: int, bridges: int = 1) -> nx.Graph:
-    """Two cliques of size ``n // 2`` joined by ``bridges`` disjoint edges."""
-    if n % 2 != 0 or n < 6:
-        raise ParameterError(f"two_cliques requires even n >= 6, got {n}")
-    half = n // 2
-    if not 1 <= bridges <= half:
-        raise ParameterError(f"bridges must be in [1, {half}], got {bridges}")
-    graph = nx.disjoint_union(nx.complete_graph(half), nx.complete_graph(half))
-    for i in range(bridges):
-        graph.add_edge(i, half + i)
-    return _relabel(graph)
-
-
 def binary_tree_graph(n: int) -> nx.Graph:
     """Balanced binary tree truncated to ``n`` nodes (irregular, diameter ~log n)."""
     _require_at_least(n, 3, "binary_tree")
@@ -190,32 +171,3 @@ def random_geometric_connected(
     raise GraphError(
         f"failed to sample a connected geometric graph (n={n}, r={radius}) in 200 tries"
     )
-
-
-#: Registry of graph families addressable by name in experiment configs.
-GRAPH_FAMILIES: Dict[str, Callable[..., nx.Graph]] = {
-    "cycle": cycle_graph,
-    "path": path_graph,
-    "complete": complete_graph,
-    "star": star_graph,
-    "torus": torus_graph,
-    "hypercube": hypercube_graph,
-    "random_regular": random_regular_graph,
-    "erdos_renyi": erdos_renyi_graph,
-    "barbell": barbell_graph,
-    "lollipop": lollipop_graph,
-    "two_cliques": two_cliques_graph,
-    "binary_tree": binary_tree_graph,
-    "petersen": petersen_graph,
-    "random_geometric": random_geometric_connected,
-}
-
-
-def make_graph(family: str, n: int, **kwargs) -> nx.Graph:
-    """Build a named graph family; see :data:`GRAPH_FAMILIES` for names."""
-    try:
-        generator = GRAPH_FAMILIES[family]
-    except KeyError:
-        known = ", ".join(sorted(GRAPH_FAMILIES))
-        raise ParameterError(f"unknown graph family {family!r}; known: {known}") from None
-    return generator(n, **kwargs)

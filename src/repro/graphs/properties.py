@@ -8,9 +8,7 @@ The concentration analysis (Section 5.3) partitions the state space
 * ``S_+`` — walks at distance two or more.
 
 Lemma 5.7 proves the Q-chain's stationary distribution is constant on each
-class.  :func:`distance_classes` computes the partition, and
-:func:`isoperimetric_lower_bound` provides the Cheeger-style bound
-``lambda_2(L) >= i(G)^2 / (2 d_max)`` used in Corollary E.2(i).
+class.  :func:`distance_classes` computes the partition.
 """
 
 from __future__ import annotations
@@ -131,67 +129,3 @@ def distance_classes(graph: GraphLike) -> DistanceClasses:
         dtype=np.int64,
     ).reshape(-1, 2)
     return DistanceClasses(s0=s0, s1=s1, s_plus=s_plus)
-
-
-def common_neighbor_counts(graph: GraphLike) -> np.ndarray:
-    """Matrix ``c(u, v)`` of common-neighbour counts (``A^2`` off-diagonal).
-
-    Lemma 5.7's proof tracks how ``c(u, v)`` cancels from the stationarity
-    equations; the experiments use this to exercise graphs with widely
-    varying ``c`` (cliques vs cycles vs Petersen).
-    """
-    g = _as_networkx(graph)
-    a = nx.to_numpy_array(g, nodelist=sorted(g.nodes()), dtype=float)
-    return (a @ a).astype(np.int64)
-
-
-def isoperimetric_number_exact(graph: GraphLike, max_n: int = 16) -> float:
-    """Exact isoperimetric number ``i(G) = min |E(S, ~S)| / |S|``.
-
-    Enumerates all subsets with ``|S| <= n/2``; exponential, so guarded by
-    ``max_n``.  Used only in tests to validate
-    :func:`isoperimetric_lower_bound`.
-    """
-    g = _as_networkx(graph)
-    n = g.number_of_nodes()
-    if n > max_n:
-        raise ValueError(f"exact isoperimetric number limited to n <= {max_n}")
-    nodes = list(range(n))
-    best = float("inf")
-    for size in range(1, n // 2 + 1):
-        for subset in itertools.combinations(nodes, size):
-            boundary = nx.cut_size(g, subset)
-            best = min(best, boundary / size)
-    return best
-
-
-def isoperimetric_lower_bound(graph: GraphLike, isoperimetric: float | None = None) -> float:
-    """Cheeger-style bound ``lambda_2(L) >= i(G)^2 / (2 d_max)`` (Cor. E.2(i)).
-
-    When ``isoperimetric`` is not given, a spectral *upper* estimate
-    ``i(G) <= lambda_2(L) / ... `` is unavailable cheaply, so we fall back
-    to the sweep-cut heuristic on the Fiedler vector, which yields a valid
-    cut and therefore an upper bound on ``i(G)`` — making the returned
-    quantity a heuristic, as documented in EXPERIMENTS.md.
-    """
-    g = _as_networkx(graph)
-    d_max = max(dict(g.degree()).values())
-    if isoperimetric is None:
-        isoperimetric = _sweep_cut_isoperimetric(g)
-    return isoperimetric**2 / (2.0 * d_max)
-
-
-def _sweep_cut_isoperimetric(g: nx.Graph) -> float:
-    """Upper bound on ``i(G)`` from the best sweep cut of the Fiedler vector."""
-    from repro.graphs.spectral import second_laplacian_eigenpair
-
-    _, fiedler = second_laplacian_eigenpair(g)
-    order = np.argsort(fiedler)
-    n = g.number_of_nodes()
-    best = float("inf")
-    prefix: set[int] = set()
-    for i in range(n // 2):
-        prefix.add(int(order[i]))
-        boundary = nx.cut_size(g, prefix)
-        best = min(best, boundary / len(prefix))
-    return best

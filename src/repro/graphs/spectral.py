@@ -38,11 +38,6 @@ def adjacency_matrix(graph: GraphLike) -> np.ndarray:
     return nx.to_numpy_array(g, nodelist=sorted(g.nodes()), dtype=float)
 
 
-def degree_matrix(graph: GraphLike) -> np.ndarray:
-    """Dense diagonal degree matrix ``D``."""
-    return np.diag(adjacency_matrix(graph).sum(axis=1))
-
-
 def laplacian_matrix(graph: GraphLike) -> np.ndarray:
     """Graph Laplacian ``L = D - A`` (symmetric positive semi-definite)."""
     a = adjacency_matrix(graph)
@@ -117,12 +112,6 @@ def second_walk_eigenpair(graph: GraphLike, lazy: bool = True) -> Tuple[float, n
     return float(eigenvalues[1]), vectors[:, 1]
 
 
-def eigenvalue_gap(graph: GraphLike, lazy: bool = True) -> float:
-    """Eigenvalue gap ``1 - lambda_2(P)`` appearing in Theorem 2.2(1)."""
-    lambda2, _ = second_walk_eigenpair(graph, lazy=lazy)
-    return 1.0 - lambda2
-
-
 def laplacian_spectrum(graph: GraphLike) -> Tuple[np.ndarray, np.ndarray]:
     """Laplacian eigenvalues ascending and orthonormal eigenvectors."""
     eigenvalues, vectors = np.linalg.eigh(laplacian_matrix(graph))
@@ -138,55 +127,3 @@ def second_laplacian_eigenpair(graph: GraphLike) -> Tuple[float, np.ndarray]:
     """
     eigenvalues, vectors = laplacian_spectrum(graph)
     return float(eigenvalues[1]), vectors[:, 1]
-
-
-def second_walk_eigenpair_sparse(
-    graph: GraphLike, lazy: bool = True
-) -> Tuple[float, np.ndarray]:
-    """Sparse ``(lambda_2(P), f_2(P))`` via Lanczos on the symmetrised walk.
-
-    Equivalent to :func:`second_walk_eigenpair` but scales to graphs with
-    tens of thousands of nodes (the dense path is O(n^3)).  Used by the
-    slow-mode convergence sweeps.
-    """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    g = _as_networkx(graph)
-    n = g.number_of_nodes()
-    if n < 3:
-        # eigsh needs k < n; fall back to the dense path.
-        return second_walk_eigenpair(g, lazy=lazy)
-    adjacency = nx.to_scipy_sparse_array(g, nodelist=sorted(g.nodes()), format="csr")
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(degrees)
-    # S = D^{-1/2} A D^{-1/2}; eigenvalues of P_simple = eigenvalues of S.
-    symmetric = sp.diags(inv_sqrt) @ adjacency @ sp.diags(inv_sqrt)
-    eigenvalues, vectors = spla.eigsh(symmetric, k=2, which="LA")
-    order = np.argsort(eigenvalues)[::-1]
-    lambda_simple = float(eigenvalues[order[1]])
-    v2 = vectors[:, order[1]]
-    pi = degrees / degrees.sum()
-    f2 = v2 / np.sqrt(pi)
-    # Normalise to <f2, f2>_pi = 1 (eigsh returns unit 2-norm vectors,
-    # which already gives this, but renormalise defensively).
-    f2 = f2 / math_sqrt(pi_norm_squared(pi, f2))
-    lambda2 = (1.0 + lambda_simple) / 2.0 if lazy else lambda_simple
-    return lambda2, f2
-
-
-def math_sqrt(x: float) -> float:
-    """Guarded square root for normalisation."""
-    if x <= 0:
-        raise ValueError("cannot normalise a zero vector")
-    return float(np.sqrt(x))
-
-
-def pi_inner(pi: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    """``pi``-weighted inner product ``<x, y>_pi = sum_u pi_u x_u y_u`` (Eq. 2)."""
-    return float(np.sum(pi * x * y))
-
-
-def pi_norm_squared(pi: np.ndarray, x: np.ndarray) -> float:
-    """``||x||_pi^2 = <x, x>_pi``."""
-    return pi_inner(pi, x, x)

@@ -9,7 +9,7 @@ experiments are reproducible *and* replicas are statistically independent.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -46,32 +46,3 @@ def spawn(seed: SeedLike, count: int) -> list[np.random.Generator]:
         return [np.random.default_rng(c) for c in seed.spawn(count)]
     sequence = np.random.SeedSequence(seed)
     return [np.random.default_rng(c) for c in sequence.spawn(count)]
-
-
-def stream_seeds(seed: SeedLike, count: int) -> list[int]:
-    """Return ``count`` reproducible integer seeds derived from ``seed``.
-
-    Useful when seeds must be serialised into result records so that any
-    individual replica can be re-run in isolation.
-    """
-    generator = as_generator(seed)
-    return [int(s) for s in generator.integers(0, 2**63 - 1, size=count)]
-
-
-def sample_without_replacement(
-    rng: np.random.Generator, pool: np.ndarray, k: int
-) -> np.ndarray:
-    """Sample ``k`` distinct entries of ``pool`` uniformly at random.
-
-    Fast paths for ``k == 1`` and ``k == len(pool)`` avoid the generic
-    permutation-based sampling that dominates the inner loop of the
-    NodeModel otherwise.
-    """
-    size = len(pool)
-    if k > size:
-        raise ValueError(f"cannot sample {k} items from a pool of {size}")
-    if k == 1:
-        return pool[rng.integers(size)][None]
-    if k == size:
-        return pool
-    return rng.choice(pool, size=k, replace=False)

@@ -42,12 +42,6 @@ from repro.theory.exact import (
     exact_limit_variance,
     exact_variance_trajectory,
 )
-from repro.theory.mixing import (
-    empirical_mixing_time,
-    qchain_mixing_tolerance,
-    spectral_mixing_bound,
-    total_variation,
-)
 from repro.theory.martingale import (
     edge_model_expected_update,
     node_model_expected_update,
@@ -64,7 +58,6 @@ __all__ = [
     "VarianceBounds",
     "edge_model_contraction_factor",
     "edge_model_expected_update",
-    "empirical_mixing_time",
     "exact_avg_variance",
     "exact_coalescence_feasible",
     "exact_coalescence_time",
@@ -79,9 +72,6 @@ __all__ = [
     "edge_model_upper_bound",
     "node_model_contraction_factor",
     "node_model_expected_update",
-    "qchain_mixing_tolerance",
-    "spectral_mixing_bound",
-    "total_variation",
     "node_model_lower_bound",
     "node_model_upper_bound",
     "variance_bounds",

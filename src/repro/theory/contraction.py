@@ -73,11 +73,6 @@ def edge_model_contraction_factor(m: int, lambda2_l: float, alpha: float) -> flo
     return 1.0 - alpha * (1.0 - alpha) * lambda2_l / m
 
 
-def edge_model_contraction_rate(m: int, lambda2_l: float, alpha: float) -> float:
-    """Per-step decay rate ``1 - factor`` for the EdgeModel."""
-    return 1.0 - edge_model_contraction_factor(m, lambda2_l, alpha)
-
-
 def mean_state_contraction_factor(n: int, lambda2: float, alpha: float) -> float:
     """Contraction of the *expected state* along ``f_2`` (Eq. 43).
 

@@ -15,7 +15,7 @@ Lower bounds for the adversarial eigenvector-aligned initial states
 
 These return the bound *expressions with constant 1*; experiments report
 the ratio measured / bound, which Theorem 2.2 predicts to be Theta(1)
-across graph families and sizes.  ``predicted_t_eps_*`` additionally
+across graph families and sizes.  :func:`predicted_t_eps_node` additionally
 exposes the sharper estimate ``log(phi(0)/eps) / rate`` using the exact
 one-step rates of :mod:`repro.theory.contraction`, which tracks measured
 times closely (including the mild ``(1 + 1/k)``-style dependence on
@@ -27,10 +27,7 @@ from __future__ import annotations
 import math
 
 from repro.exceptions import ParameterError
-from repro.theory.contraction import (
-    edge_model_contraction_rate,
-    node_model_contraction_rate,
-)
+from repro.theory.contraction import node_model_contraction_rate
 
 
 def _log_term(n: int, norm_sq: float, epsilon: float) -> float:
@@ -104,29 +101,3 @@ def predicted_t_eps_node(
     if rate <= 0:
         raise ParameterError("contraction rate must be positive")
     return math.log(phi0 / epsilon) / rate
-
-
-def predicted_t_eps_edge(
-    m: int, lambda2_l: float, alpha: float, phi0: float, epsilon: float
-) -> float:
-    """Sharp EdgeModel estimate ``log(phi_V(0)/eps) / rate`` (Prop. D.1 rate)."""
-    if phi0 <= 0 or epsilon <= 0:
-        raise ParameterError("phi0 and epsilon must be positive")
-    if phi0 <= epsilon:
-        return 0.0
-    rate = edge_model_contraction_rate(m, lambda2_l, alpha)
-    if rate <= 0:
-        raise ParameterError("contraction rate must be positive")
-    return math.log(phi0 / epsilon) / rate
-
-
-def voter_model_reference_bound(n: int, lambda2: float) -> float:
-    """The ``O(n / (1 - lambda_2(P)))`` voter-model bound of [18] quoted in
-    Section 2 — the comparison point showing the averaging process is
-    faster by ``Omega(n / log n)`` when ``K`` and ``1/eps`` are polynomial.
-    """
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    if not 0.0 <= lambda2 < 1.0:
-        raise ParameterError(f"lambda2 must be in [0, 1), got {lambda2}")
-    return n / (1.0 - lambda2)

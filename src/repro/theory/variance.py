@@ -193,19 +193,3 @@ def variance_time_bound_avg(t: int, n: int, discrepancy: float) -> float:
     if discrepancy < 0:
         raise ParameterError("discrepancy must be non-negative")
     return t * discrepancy**2 / n**2
-
-
-def paper_display_coefficient(n: int, d: int, k: int, alpha: float) -> float:
-    """The paper's displayed upper coefficient
-    ``2 k (d-1)(1-alpha) / (n^2 (3dk + d - 3k))`` (proof of Thm 2.2(2)).
-
-    Kept verbatim for comparison; it uses the simplified normalisation
-    ``ell = 1/(n^2 (3dk + d - 3k))``, which differs from the Lemma 5.7
-    ``ell`` by a bounded factor (they agree asymptotically).  Experiments
-    report both.
-    """
-    if n < 2 or d < 1 or not 1 <= k <= d:
-        raise ParameterError(f"invalid (n, d, k) = ({n}, {d}, {k})")
-    if not 0.0 <= alpha < 1.0:
-        raise ParameterError(f"alpha must be in [0, 1), got {alpha}")
-    return 2.0 * k * (d - 1.0) * (1.0 - alpha) / (n**2 * (3.0 * d * k + d - 3.0 * k))

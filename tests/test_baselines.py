@@ -86,8 +86,8 @@ class TestEngineVoter:
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_values_and_law(self, name):
-        make_graph, initial = self.GRAPHS[name]
-        adjacency = Adjacency.from_graph(make_graph())
+        build, initial = self.GRAPHS[name]
+        adjacency = Adjacency.from_graph(build())
         batch = EngineSpec("node", adjacency, initial, 0.0).build(
             self.REPLICAS, seed=11
         )

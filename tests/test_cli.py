@@ -255,7 +255,7 @@ class TestRegistryIntegrity:
     def test_engine_declared_only_by_monte_carlo_runners(self):
         """Engine selection: the nine MC runners plus the dual workloads."""
         with_engine = {
-            exp.id for exp in all_experiments() if exp.accepts_engine
+            exp.id for exp in all_experiments() if "engine" in exp.params
         }
         assert with_engine == {
             "EXP-T221", "EXP-T221K", "EXP-T221LB", "EXP-T222", "EXP-T241",

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.convergence import (
-    epsilon_for_discrepancy,
-    measure_t_eps,
-    run_to_consensus,
-)
+from repro.core.convergence import measure_t_eps, run_to_consensus
 from repro.core.edge_model import EdgeModel
 from repro.core.node_model import NodeModel
 from repro.exceptions import ConvergenceError, ParameterError
@@ -90,21 +86,12 @@ class TestRunToConsensus:
 
 
 class TestEpsilonForDiscrepancy:
-    def test_formula(self):
-        assert epsilon_for_discrepancy(10, 0.1) == pytest.approx((0.1 / 10) ** 6)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            epsilon_for_discrepancy(10, 0.0)
-        with pytest.raises(ParameterError):
-            epsilon_for_discrepancy(0, 0.1)
-
     def test_guarantee_holds_empirically(self, small_regular, rng):
         # Converging to (eps/n)^6 in phi forces discrepancy <= eps.
         initial = rng.normal(size=10)
         # Keep (eps/n)^6 above the float64 noise floor of the potential.
         target_discrepancy = 0.5
-        epsilon = epsilon_for_discrepancy(10, target_discrepancy)
+        epsilon = (target_discrepancy / 10) ** 6
         process = NodeModel(small_regular, initial, alpha=0.5, seed=8)
         measure_t_eps(process, epsilon, 50_000_000)
         assert process.discrepancy <= target_discrepancy

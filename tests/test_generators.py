@@ -7,34 +7,49 @@ from repro.exceptions import ParameterError
 from repro.graphs import generators as gen
 
 
-ALL_FAMILIES = sorted(gen.GRAPH_FAMILIES)
+FAMILIES = {
+    "barbell": gen.barbell_graph,
+    "binary_tree": gen.binary_tree_graph,
+    "complete": gen.complete_graph,
+    "cycle": gen.cycle_graph,
+    "erdos_renyi": gen.erdos_renyi_graph,
+    "hypercube": gen.hypercube_graph,
+    "lollipop": gen.lollipop_graph,
+    "path": gen.path_graph,
+    "petersen": gen.petersen_graph,
+    "random_geometric": gen.random_geometric_connected,
+    "random_regular": gen.random_regular_graph,
+    "star": gen.star_graph,
+    "torus": gen.torus_graph,
+}
+ALL_FAMILIES = sorted(FAMILIES)
 
 
 class TestRegistry:
+    """Properties every generator in the ``FAMILIES`` table shares."""
+
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_every_family_produces_connected_graph(self, family):
-        n = {"petersen": 10, "torus": 16, "hypercube": 16, "barbell": 10,
-             "two_cliques": 10}.get(family, 12)
-        graph = gen.make_graph(family, n, **({"seed": 3} if family in
+        n = {"petersen": 10, "torus": 16, "hypercube": 16, "barbell": 10}.get(
+            family, 12
+        )
+        graph = FAMILIES[family](n, **({"seed": 3} if family in
                  ("random_regular", "erdos_renyi", "random_geometric") else {}),
                  **({"d": 4} if family == "random_regular" else {}))
         assert nx.is_connected(graph)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_nodes_relabelled_to_range(self, family):
-        n = {"petersen": 10, "torus": 9, "hypercube": 8, "barbell": 8,
-             "two_cliques": 8}.get(family, 8)
+        n = {"petersen": 10, "torus": 9, "hypercube": 8, "barbell": 8}.get(
+            family, 8
+        )
         kwargs = {}
         if family in ("random_regular", "erdos_renyi", "random_geometric"):
             kwargs["seed"] = 5
         if family == "random_regular":
             kwargs["d"] = 3
-        graph = gen.make_graph(family, n, **kwargs)
+        graph = FAMILIES[family](n, **kwargs)
         assert sorted(graph.nodes()) == list(range(graph.number_of_nodes()))
-
-    def test_unknown_family_raises(self):
-        with pytest.raises(ParameterError, match="unknown graph family"):
-            gen.make_graph("mobius", 10)
 
 
 class TestSpecificShapes:
@@ -100,14 +115,6 @@ class TestSpecificShapes:
     def test_barbell_requires_even(self):
         with pytest.raises(ParameterError):
             gen.barbell_graph(9)
-
-    def test_two_cliques_bridges(self):
-        graph = gen.two_cliques_graph(10, bridges=2)
-        assert graph.number_of_edges() == 2 * 10 + 2
-
-    def test_two_cliques_bridge_bounds(self):
-        with pytest.raises(ParameterError):
-            gen.two_cliques_graph(10, bridges=0)
 
     def test_binary_tree_node_count(self):
         graph = gen.binary_tree_graph(11)

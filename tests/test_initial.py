@@ -66,13 +66,6 @@ class TestPlainFamilies:
         with pytest.raises(ParameterError):
             initial.bipartition_values(5, split=6)
 
-    def test_registry_dispatch(self):
-        values = initial.make_initial("linear_ramp", 4, low=0.0, high=3.0)
-        assert values.tolist() == [0.0, 1.0, 2.0, 3.0]
-
-    def test_registry_unknown(self):
-        with pytest.raises(ParameterError, match="unknown initial family"):
-            initial.make_initial("zipf", 4)
 
 
 class TestCentering:

@@ -73,7 +73,9 @@ class TestProducts:
             petersen, initial, alpha=0.5, k=2, seed=1, record_schedule=True
         )
         process.run(100)
-        product = matrices.averaging_product_matrix(10, process.schedule, alpha=0.5)
+        product = np.eye(10)
+        for step in process.schedule:
+            product = matrices.averaging_step_matrix(10, step, 0.5) @ product
         assert np.allclose(product @ initial, process.values)
 
     def test_product_column_stochastic(self):

@@ -6,7 +6,6 @@ import pytest
 
 from repro.exceptions import NotConnectedError, NotRegularError
 from repro.graphs import properties as props
-from repro.graphs.spectral import second_laplacian_eigenpair
 
 
 class TestBasicPredicates:
@@ -69,58 +68,3 @@ class TestDistanceClasses:
         far = [(u, v) for u in paths for v, dist in paths[u].items() if dist >= 2]
         u, v = far[0]
         assert matrix[u, v] == 2
-
-
-class TestCommonNeighbours:
-    def test_common_neighbor_counts_cycle(self, cycle6):
-        counts = props.common_neighbor_counts(cycle6)
-        # In C6, nodes at distance 2 share exactly one neighbour.
-        assert counts[0, 2] == 1
-        # Adjacent nodes in C6 share none.
-        assert counts[0, 1] == 0
-        # Diagonal equals the degree.
-        assert counts[0, 0] == 2
-
-    def test_complete_graph_counts(self):
-        counts = props.common_neighbor_counts(nx.complete_graph(5))
-        assert counts[0, 1] == 3  # K5 adjacent pairs share n - 2 = 3
-        assert counts[0, 0] == 4
-
-    def test_petersen_girth5_no_common_neighbours_for_adjacent(self, petersen):
-        counts = props.common_neighbor_counts(petersen)
-        for u, v in petersen.edges():
-            assert counts[u, v] == 0  # girth 5: no triangles
-
-
-class TestIsoperimetric:
-    def test_exact_cycle(self):
-        # For C6 the best cut takes half the cycle: 2 boundary edges / 3 nodes.
-        value = props.isoperimetric_number_exact(nx.cycle_graph(6))
-        assert value == pytest.approx(2.0 / 3.0)
-
-    def test_exact_complete(self):
-        # K4: any S with |S| = 2 has 4 boundary edges -> i = 2.
-        value = props.isoperimetric_number_exact(nx.complete_graph(4))
-        assert value == pytest.approx(2.0)
-
-    def test_exact_guard_on_size(self):
-        with pytest.raises(ValueError):
-            props.isoperimetric_number_exact(nx.cycle_graph(30))
-
-    def test_cheeger_bound_valid_with_exact_isoperimetric(self, cycle6):
-        i_exact = props.isoperimetric_number_exact(cycle6)
-        bound = props.isoperimetric_lower_bound(cycle6, isoperimetric=i_exact)
-        lambda2, _ = second_laplacian_eigenpair(cycle6)
-        assert lambda2 >= bound - 1e-12
-
-    @pytest.mark.parametrize("n", [6, 8, 10, 12])
-    def test_cheeger_bound_valid_across_cycles(self, n):
-        graph = nx.cycle_graph(n)
-        i_exact = props.isoperimetric_number_exact(graph)
-        bound = props.isoperimetric_lower_bound(graph, isoperimetric=i_exact)
-        lambda2, _ = second_laplacian_eigenpair(graph)
-        assert lambda2 >= bound - 1e-12
-
-    def test_sweep_cut_heuristic_runs(self, petersen):
-        bound = props.isoperimetric_lower_bound(petersen)
-        assert bound > 0

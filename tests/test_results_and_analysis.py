@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.fits import loglog_slope, ratio_statistics
+from repro.analysis.fits import ratio_statistics
 from repro.exceptions import ParameterError
-from repro.rng import as_generator, sample_without_replacement, spawn, stream_seeds
+from repro.rng import as_generator, spawn
 from repro.sim.results import ResultTable
 
 
@@ -84,28 +84,6 @@ class TestResultTable:
         assert "only" in table.render()
 
 
-class TestLogLogSlope:
-    def test_recovers_power_law(self):
-        x = np.array([10.0, 20.0, 40.0, 80.0])
-        y = 3.0 * x**2.5
-        slope, intercept = loglog_slope(x, y)
-        assert slope == pytest.approx(2.5)
-        assert np.exp(intercept) == pytest.approx(3.0)
-
-    def test_noisy_power_law(self):
-        rng = np.random.default_rng(1)
-        x = np.logspace(1, 3, 30)
-        y = x**1.5 * np.exp(rng.normal(0, 0.05, size=30))
-        slope, _ = loglog_slope(x, y)
-        assert slope == pytest.approx(1.5, abs=0.1)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            loglog_slope([1.0], [2.0])
-        with pytest.raises(ParameterError):
-            loglog_slope([1.0, -1.0], [2.0, 3.0])
-
-
 class TestRatioStatistics:
     def test_band(self):
         stats = ratio_statistics([1.0, 2.0, 4.0], [1.0, 1.0, 1.0])
@@ -144,20 +122,3 @@ class TestRngHelpers:
     def test_spawn_negative_count(self):
         with pytest.raises(ValueError):
             spawn(1, -1)
-
-    def test_stream_seeds(self):
-        seeds = stream_seeds(3, 5)
-        assert len(seeds) == 5
-        assert seeds == stream_seeds(3, 5)
-
-    def test_sample_without_replacement_distinct(self):
-        rng = as_generator(2)
-        pool = np.arange(10)
-        for k in (1, 3, 10):
-            sample = sample_without_replacement(rng, pool, k)
-            assert len(np.unique(sample)) == k
-
-    def test_sample_without_replacement_overdraw(self):
-        rng = as_generator(2)
-        with pytest.raises(ValueError):
-            sample_without_replacement(rng, np.arange(3), 4)

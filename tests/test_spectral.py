@@ -73,11 +73,8 @@ class TestSecondEigenpair:
     def test_f2_pi_normalised_and_orthogonal_to_ones(self, small_regular):
         _, f2 = spectral.second_walk_eigenpair(small_regular)
         pi = spectral.stationary_distribution(small_regular)
-        assert spectral.pi_norm_squared(pi, f2) == pytest.approx(1.0)
-        assert spectral.pi_inner(pi, np.ones(len(f2)), f2) == pytest.approx(0.0, abs=1e-10)
-
-    def test_eigenvalue_gap_positive_for_connected(self, petersen):
-        assert spectral.eigenvalue_gap(petersen) > 0
+        assert np.sum(pi * f2 * f2) == pytest.approx(1.0)
+        assert np.sum(pi * f2) == pytest.approx(0.0, abs=1e-10)
 
     def test_f2_eigenvector_irregular(self, star5):
         lambda2, f2 = spectral.second_walk_eigenpair(star5)
@@ -118,7 +115,7 @@ class TestLaplacian:
     def test_regular_relation_between_gaps(self, petersen):
         # For d-regular graphs, 1 - lambda2(P_lazy) = lambda2(L) / (2d).
         d = 3
-        gap = spectral.eigenvalue_gap(petersen)
+        gap = 1.0 - spectral.second_walk_eigenpair(petersen)[0]
         lambda2_l, _ = spectral.second_laplacian_eigenpair(petersen)
         assert gap == pytest.approx(lambda2_l / (2 * d), abs=1e-10)
 

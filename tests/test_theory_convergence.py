@@ -82,21 +82,6 @@ class TestSharpPredictions:
         assert fast <= slow
         assert slow / fast <= 2.0 + 1e-9  # the paper's (1 + 1/k) band
 
-    def test_predicted_edge(self):
-        value = conv.predicted_t_eps_edge(15, 2.0, 0.5, phi0=1.0, epsilon=1e-6)
-        assert value == pytest.approx(
-            math.log(1e6) / (0.5 * 0.5 * 2.0 / 15)
-        )
-
     def test_validation(self):
         with pytest.raises(ParameterError):
             conv.predicted_t_eps_node(10, 0.5, 0.5, 1, phi0=0.0, epsilon=1e-3)
-
-
-class TestVoterReference:
-    def test_formula(self):
-        assert conv.voter_model_reference_bound(100, 0.5) == pytest.approx(200.0)
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            conv.voter_model_reference_bound(1, 0.5)

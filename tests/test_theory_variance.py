@@ -141,19 +141,6 @@ class TestTimeBounds:
             var.variance_time_bound_avg(10, 0, 2.0)
 
 
-class TestPaperDisplayCoefficient:
-    def test_positive_and_theta_consistent(self):
-        coefficient = var.paper_display_coefficient(100, 4, 2, 0.5)
-        assert coefficient > 0
-        # Same Theta(1/n^2) scale as the exact envelope coefficient.
-        _, exact_high = var.variance_envelope(100, 4, 2, 0.5, 1.0)
-        assert 0.1 < coefficient / exact_high < 10.0
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            var.paper_display_coefficient(100, 4, 5, 0.5)
-
-
 class TestMonteCarloAgreement:
     def test_variance_of_f_matches_core_small_complete_graph(self):
         """End-to-end: Monte-Carlo Var(F) on K5 vs the Prop 5.8 core."""
