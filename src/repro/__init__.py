@@ -43,8 +43,8 @@ Subpackages
     Graph generators, compact adjacency, spectral toolkit.
 ``repro.engine``
     Vectorized batch-replica simulation engine: ``BatchNodeModel`` /
-    ``BatchEdgeModel`` advance B independent replicas per NumPy round
-    behind pluggable dense/CSR sampling backends, with convergence
+    ``BatchEdgeModel`` advance B independent replicas per NumPy round,
+    sampling neighbours straight off the CSR arrays, with convergence
     masking, replica sharding across processes, and an on-disk result
     cache.  Identical in law to ``repro.core`` (the oracle), 1-2 orders
     of magnitude faster per replica.

@@ -22,7 +22,7 @@ import networkx as nx
 import numpy as np
 
 from repro.core.potentials import PotentialTracker, discrepancy
-from repro.core.schedule import Schedule, SelectionStep
+from repro.core.schedule import Schedule
 from repro.exceptions import ParameterError
 from repro.graphs.adjacency import Adjacency
 from repro.rng import SeedLike, as_generator

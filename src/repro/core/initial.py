@@ -37,11 +37,6 @@ GraphLike = Union[nx.Graph, Adjacency]
 # ----------------------------------------------------------------------
 # Plain families
 # ----------------------------------------------------------------------
-def constant_values(n: int, value: float = 1.0) -> np.ndarray:
-    """All nodes share ``value`` — the fixed point of both processes."""
-    return np.full(n, float(value))
-
-
 def indicator_values(n: int, node: int = 0, scale: float = 1.0) -> np.ndarray:
     """``scale`` at ``node``, zero elsewhere (a single-opinion seed)."""
     if not 0 <= node < n:
@@ -74,16 +69,6 @@ def rademacher_values(n: int, seed: SeedLike = None) -> np.ndarray:
     """I.i.d. ``+-1`` values — ``||xi||_2^2 = n`` exactly, so
     ``Var(F) = Theta(1/n)`` by Theorem 2.2(2)."""
     return as_generator(seed).choice(np.array([-1.0, 1.0]), size=n)
-
-
-def bipartition_values(n: int, split: int | None = None) -> np.ndarray:
-    """First ``split`` nodes at ``+1``, the rest at ``-1`` (two camps)."""
-    split = n // 2 if split is None else split
-    if not 0 <= split <= n:
-        raise ParameterError(f"split must be in [0, {n}], got {split}")
-    values = np.full(n, -1.0)
-    values[:split] = 1.0
-    return values
 
 
 # ----------------------------------------------------------------------

@@ -13,13 +13,13 @@ same distribution as ``xi(T)`` — and Lemma 5.2 makes this an exact per-
 sequence identity, which :mod:`repro.dual.duality` verifies to machine
 precision.
 
-Since the dual-engine PR this class is a thin scalar facade over
+This class is a thin scalar facade over
 :class:`repro.engine.dual.BatchDiffusion` — a single-replica batch —
-so the diffusion runs through the same vectorized pipeline (shared
-:class:`~repro.engine.backend.SamplingBackend`, reused padded
-neighbour tables and content hashes of a pre-built
-:class:`~repro.graphs.adjacency.Adjacency`) as everything else, and
-``B``-replica dual runs are the same code with ``replicas > 1``.
+so the diffusion runs through the same vectorized pipeline (the shared
+:class:`~repro.engine.backend.SamplingBackend` over the CSR arrays and
+content hash of a pre-built :class:`~repro.graphs.adjacency.Adjacency`)
+as everything else, and ``B``-replica dual runs are the same code with
+``replicas > 1``.
 """
 
 from __future__ import annotations

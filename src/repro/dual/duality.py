@@ -23,7 +23,7 @@ import networkx as nx
 import numpy as np
 
 from repro.core.node_model import NodeModel
-from repro.core.schedule import Schedule, SelectionStep
+from repro.core.schedule import Schedule
 from repro.dual.diffusion import DiffusionProcess
 from repro.dual.matrices import averaging_step_matrix, product_matrix
 from repro.graphs.adjacency import Adjacency

@@ -26,7 +26,6 @@ directly.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Union
 
 import networkx as nx

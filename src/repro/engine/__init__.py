@@ -2,8 +2,8 @@
 
 Simulates ``B`` independent replicas of the averaging processes as one
 ``(B, n)`` value matrix with fully vectorized NumPy rounds — batched
-node/edge selection, batched k-neighbour sampling through pluggable
-dense/CSR backends, incremental per-replica potential tracking, and
+node/edge selection, batched k-neighbour sampling straight off the
+graph's CSR arrays, incremental per-replica potential tracking, and
 convergence masking so finished replicas stop costing work.  Identical
 in law to the scalar :mod:`repro.core` processes (which remain the
 correctness oracle), 1–2 orders of magnitude faster per replica.
@@ -11,8 +11,8 @@ correctness oracle), 1–2 orders of magnitude faster per replica.
 Layers
 ------
 :mod:`repro.engine.backend`
-    Batched k-neighbour sampling (dense padded table vs CSR gather),
-    including the stacked multi-snapshot form for dynamic topologies.
+    Batched k-neighbour sampling: one gather from the CSR arrays;
+    dynamic topologies keep one sampler per snapshot.
 :mod:`repro.engine.dynamic`
     Time-varying topologies: ``GraphSchedule`` (cyclic / random /
     edge-rewiring snapshot streams) consumed by the batch models.
@@ -39,13 +39,7 @@ Layers
     shared-schedule duality harness (``run_duality_batch``).
 """
 
-from repro.engine.backend import (
-    CSRBackend,
-    DenseBackend,
-    SamplingBackend,
-    SnapshotBackends,
-    select_backend,
-)
+from repro.engine.backend import SamplingBackend
 from repro.engine.dynamic import (
     SCHEDULE_KINDS,
     CyclicSchedule,
@@ -95,14 +89,12 @@ __all__ = [
     "BatchEdgeModel",
     "BatchNodeModel",
     "BatchWalks",
-    "CSRBackend",
     "DUAL_KINDS",
     "DualSpec",
     "RecordedSelections",
     "run_duality_batch",
     "sample_coalescence_times",
     "CyclicSchedule",
-    "DenseBackend",
     "EngineSpec",
     "GraphSchedule",
     "KERNEL_CHOICES",
@@ -111,7 +103,6 @@ __all__ = [
     "RewiringSchedule",
     "SCHEDULE_KINDS",
     "SamplingBackend",
-    "SnapshotBackends",
     "build_schedule",
     "measure_t_eps_batch",
     "resolve_kernel",
@@ -120,5 +111,4 @@ __all__ = [
     "sample_checkpoints_batch",
     "sample_f_batch",
     "sample_t_eps_batch",
-    "select_backend",
 ]

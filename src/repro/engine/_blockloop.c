@@ -40,14 +40,12 @@
 /* The batch's model and sampling source, filled in by kernels.BlockStepper
  * (its ctypes mirror is kernels._model_struct).  The sampling source is
  * either the edge list (tails/heads, `edges` entries; k = 1) or, for the
- * node model, a neighbour table: the dense (n, stride) table when offsets
- * is NULL, else the CSR neighbours at offsets[node]; table_size bounds it.
- * degrees holds every node's degree and pi (irregular graphs, else NULL)
- * every node's stationary weight. */
+ * node model, the CSR arrays: node u's neighbours are table[offsets[u]]
+ * onwards, and table_size bounds table.  degrees holds every node's degree
+ * and pi (irregular graphs, else NULL) every node's stationary weight. */
 struct model {
     int64_t n, replicas, k, lazy;
     const int64_t *table;
-    int64_t stride;
     const int64_t *offsets;
     int64_t table_size;
     const int64_t *degrees, *tails, *heads;
@@ -142,7 +140,8 @@ static void execute_lazy(double *flat, const int64_t *write_idx,
 
 static int model_ok(const struct model *m)
 {
-    return m && (m->tails ? m->heads != NULL : m->table && m->degrees)
+    return m && (m->tails ? m->heads != NULL
+                 : m->table && m->offsets && m->degrees)
         && m->k >= 1 && m->k <= 2 && (!m->tails || m->k == 1)
         && (!m->lazy || m->k == 1);
 }
@@ -180,7 +179,7 @@ static inline __attribute__((always_inline)) int decode_shape(
 {
     const int64_t n = m->n, replicas = m->replicas;
     const int64_t width = (k + 1) * active;
-    const int64_t stride = m->stride, table_size = m->table_size;
+    const int64_t table_size = m->table_size;
     const int64_t edges = m->edges;
     const int64_t *table = m->table, *offsets = m->offsets;
     const int64_t *degrees = m->degrees, *tails = m->tails, *heads = m->heads;
@@ -246,8 +245,7 @@ static inline __attribute__((always_inline)) int decode_shape(
                         slot2 = pair % degree_m1;
                         slot2 += slot2 >= slot;
                     }
-                    const int64_t base =
-                        offsets ? offsets[node] : node * stride;
+                    const int64_t base = offsets[node];
                     if ((uint64_t)base >= (uint64_t)table_size
                         || slot >= table_size - base
                         || slot2 >= table_size - base) {

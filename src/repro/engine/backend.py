@@ -1,22 +1,12 @@
-"""Pluggable batched neighbour-sampling backends.
+"""Batched neighbour sampling off the frozen CSR arrays.
 
 The batch engine advances ``B`` independent replicas per vectorized round;
 the only model-specific inner operation is "for each active replica ``b``
 with selected node ``u_b``, average ``k`` uniformly chosen distinct
 neighbours of ``u_b``".  A :class:`SamplingBackend` picks those
-neighbours for a whole batch at once.  Two implementations trade memory for gather speed:
-
-* :class:`DenseBackend` precomputes the padded ``(n, d_max)`` neighbour
-  table of :meth:`~repro.graphs.adjacency.Adjacency.padded_neighbors` —
-  O(n * d_max) memory, fastest gathers; the default for the graph sizes
-  of the paper experiments.
-* :class:`CSRBackend` keeps only the frozen CSR arrays (O(E) memory) and
-  materialises the needed neighbour rows per call — the choice for
-  huge, skew-degree graphs where the dense table would not fit.
-
-Both consume the *same* random variates in the same order, so a fixed
-seed yields bit-identical trajectories across backends (asserted in
-``tests/test_engine.py``).  The index-level primitives
+neighbours for a whole batch at once, gathering straight from the
+adjacency's ``neighbors``/``offsets`` arrays (O(E) memory, no per-node
+set-up).  The index-level primitives
 (:meth:`~SamplingBackend.pick_block`, :meth:`~SamplingBackend._pick_slots`)
 accept arrays of any shape, so the fused block kernels
 (:mod:`repro.engine.kernels`) can precompute a whole ``(R, B)`` block
@@ -25,16 +15,10 @@ of selections through the same code paths the per-round engine uses.
 
 from __future__ import annotations
 
-import abc
-from typing import Sequence
-
 import numpy as np
 
 from repro.exceptions import ParameterError
 from repro.graphs.adjacency import Adjacency
-
-#: Above this many dense-table entries, ``backend="auto"`` switches to CSR.
-_DENSE_TABLE_LIMIT = 32_000_000
 
 #: Largest ``d_max`` for which k-subsets are drawn with the full-key
 #: strategy (one uniform key per neighbour slot).  Above it, and when
@@ -45,20 +29,19 @@ _DENSE_TABLE_LIMIT = 32_000_000
 _FULL_KEY_DMAX = 64
 
 
-class SamplingBackend(abc.ABC):
+class SamplingBackend:
     """Batched k-neighbour sampling over one frozen :class:`Adjacency`.
 
-    ``k`` is fixed per backend instance (it is a model parameter); the
+    ``k`` is fixed per instance (it is a model parameter); the
     per-call inputs are the selected nodes (an array of any shape) and
     the variates that choose their neighbours.
 
     ``d_max`` optionally widens the neighbour-slot axis beyond this
-    snapshot's own maximum degree: the multi-snapshot form
-    (:class:`SnapshotBackends`) pads every snapshot's table to the
-    *schedule-wide* maximum so all snapshots share one stacked layout
-    (and one ``k > 2`` key-matrix width).  Padded slots beyond a node's
-    degree are never selected — the subset sampler masks them even on
-    regular snapshots narrower than the table.
+    snapshot's own maximum degree: a graph schedule's samplers all take
+    the *schedule-wide* maximum, so every snapshot shares one ``k > 2``
+    key-matrix width (and hence one RNG draw shape).  Slots beyond a node's degree are never
+    selected — the subset sampler masks them even on regular snapshots
+    narrower than the envelope.
     """
 
     def __init__(
@@ -73,6 +56,8 @@ class SamplingBackend(abc.ABC):
         self.adjacency = adjacency
         self.k = int(k)
         self._degrees = adjacency.degrees
+        self._neighbors = adjacency.neighbors
+        self._offsets = adjacency.offsets
         self._d_max = int(adjacency.d_max if d_max is None else d_max)
         if self._d_max < adjacency.d_max:
             raise ParameterError(
@@ -97,7 +82,7 @@ class SamplingBackend(abc.ABC):
     def d_max(self) -> int:
         """Width of the neighbour-slot axis (the key-matrix width for
         ``k > 2``): this snapshot's maximum degree, or the schedule-wide
-        envelope under :class:`SnapshotBackends`."""
+        envelope a graph schedule's samplers share."""
         return self._d_max
 
     @property
@@ -117,10 +102,8 @@ class SamplingBackend(abc.ABC):
     def _slots(self, frac: np.ndarray, nodes: np.ndarray) -> np.ndarray:
         """Neighbour slot ``floor(frac * degree)`` per entry (any shape).
 
-        Shared by both backends' ``pick_block`` so their consumption of
-        the caller-supplied variate — and hence their RNG streams —
-        stays identical by construction.  ``frac`` is consumed (scaled
-        in place); callers pass owned scratch.
+        ``frac`` is consumed (scaled in place); callers pass owned
+        scratch.
         """
         if self._common_degree is not None:
             np.multiply(frac, self._common_degree, out=frac)
@@ -128,7 +111,6 @@ class SamplingBackend(abc.ABC):
             np.multiply(frac, self._degrees[nodes], out=frac)
         return frac.astype(np.int64)
 
-    @abc.abstractmethod
     def _pick_slots(self, nodes: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """Neighbour ids for per-node slot indices (broadcasting shapes).
 
@@ -136,14 +118,18 @@ class SamplingBackend(abc.ABC):
         optional trailing subset axis.  Slot ``s`` of node ``u`` is its
         ``s``-th neighbour in the frozen adjacency order.
         """
+        if slots.ndim == nodes.ndim:
+            idx = self._offsets[nodes]
+            idx += slots
+            return self._neighbors[idx]
+        return self._neighbors[self._offsets[nodes][..., None] + slots]
 
     def pick_block(self, nodes: np.ndarray, frac: np.ndarray) -> np.ndarray:
         """One uniform neighbour per entry, for arrays of any shape.
 
         ``frac`` is a uniform variate in ``[0, 1)`` supplied by the
         caller (extracted for free from the node draw); the slot is
-        ``floor(frac * degree)``.  Consumes no RNG itself, so dense and
-        CSR backends stay stream-identical.
+        ``floor(frac * degree)``.  Consumes no RNG itself.
         """
         return self._pick_slots(nodes, self._slots(frac, nodes))
 
@@ -155,15 +141,15 @@ class SamplingBackend(abc.ABC):
     ) -> np.ndarray:
         """Uniform ``k``-subset of column slots ``[0, deg)`` per entry.
 
-        Two strategies, gated once per (graph, k) at construction so
-        dense and CSR backends — which share this method — consume
-        identical RNG streams on the same graph:
+        Two strategies, gated once per (graph, k, d_max) at
+        construction:
 
         * **full-key** (``d_max <= 64`` or large ``k``): ``keys`` holds
           one i.i.d. uniform per neighbour slot (pre-drawn by the
           caller, shape ``deg.shape + (d_max,)``, consumed in place);
-          invalid slots are masked to ``inf`` and the ``k`` smallest
-          keys win — a uniform k-subset, fully vectorized.  Cost:
+          slots at or beyond a node's degree are masked to ``inf`` and
+          the ``k`` smallest keys win — a uniform k-subset, fully
+          vectorized.  Cost:
           ``d_max`` variates and an O(d_max) partition per entry,
           regardless of ``k`` — cheap on the paper's bounded-degree
           graphs, wasteful when ``d_max`` is in the hundreds.
@@ -175,10 +161,10 @@ class SamplingBackend(abc.ABC):
           invariant (see :mod:`repro.engine.kernels`).
         """
         if not self._rejection_subsets:
-            # ``keys`` is consumed: invalid padded slots are masked in
-            # place (a no-op on regular graphs whose degree fills the
-            # table; a regular snapshot narrower than a stacked table
-            # still needs the mask) before the k-smallest partition.
+            # ``keys`` is consumed: slots at or beyond the degree are
+            # masked in place (a no-op on regular graphs whose degree is
+            # d_max; a regular snapshot narrower than the schedule-wide
+            # d_max still needs the mask) before the k-smallest partition.
             if self._common_degree is None or self._common_degree < self._d_max:
                 keys[np.arange(self._d_max) >= deg[..., None]] = np.inf
             return np.argpartition(keys, self.k - 1, axis=-1)[..., : self.k]
@@ -218,143 +204,3 @@ class SamplingBackend(abc.ABC):
             return self._pick_slots(nodes, slots)
         deg = self._degrees[nodes]
         return self._pick_slots(nodes, self._subset_slots(deg, keys, rng))
-
-class DenseBackend(SamplingBackend):
-    """Sampling against the precomputed padded neighbour table.
-
-    ``table`` optionally injects a prebuilt ``(n, d_max)`` table — the
-    stacked multi-snapshot form passes per-snapshot views of one
-    ``(S, n, d_max)`` array, so snapshot selection costs one extra
-    leading index instead of a table rebuild.
-    """
-
-    def __init__(
-        self,
-        adjacency: Adjacency,
-        k: int,
-        d_max: int | None = None,
-        table: np.ndarray | None = None,
-    ) -> None:
-        super().__init__(adjacency, k, d_max=d_max)
-        if table is None:
-            table = adjacency.padded_neighbors()
-        if table.shape != (adjacency.n, self._d_max):
-            raise ParameterError(
-                f"neighbour table shape {table.shape} does not match "
-                f"(n, d_max) = ({adjacency.n}, {self._d_max}); widened "
-                "tables come stacked from SnapshotBackends"
-            )
-        self._table = table
-        self._table_flat = np.ascontiguousarray(self._table).reshape(-1)
-
-    def _pick_slots(self, nodes, slots):
-        if slots.ndim == nodes.ndim:
-            idx = nodes * self._d_max
-            idx += slots
-            return self._table_flat[idx]
-        return self._table[nodes[..., None], slots]
-
-
-class CSRBackend(SamplingBackend):
-    """Sampling straight off the CSR arrays (no dense table).
-
-    ``k = 1`` needs a single O(B) gather; ``k > 1`` materialises the
-    required neighbour ids on the fly (O(B * k) transient memory
-    instead of the dense backend's persistent O(n * d_max) table).
-    """
-
-    def __init__(
-        self, adjacency: Adjacency, k: int, d_max: int | None = None
-    ) -> None:
-        super().__init__(adjacency, k, d_max=d_max)
-        self._neighbors = adjacency.neighbors
-        self._offsets = adjacency.offsets
-
-    def _pick_slots(self, nodes, slots):
-        if slots.ndim == nodes.ndim:
-            idx = self._offsets[nodes]
-            idx += slots
-            return self._neighbors[idx]
-        return self._neighbors[self._offsets[nodes][..., None] + slots]
-
-
-def select_backend(
-    adjacency: Adjacency, k: int, name: str = "auto"
-) -> SamplingBackend:
-    """Resolve a backend by name (``"auto"``, ``"dense"`` or ``"csr"``)."""
-    if name == "dense":
-        return DenseBackend(adjacency, k)
-    if name == "csr":
-        return CSRBackend(adjacency, k)
-    if name == "auto":
-        if adjacency.n * adjacency.d_max <= _DENSE_TABLE_LIMIT:
-            return DenseBackend(adjacency, k)
-        return CSRBackend(adjacency, k)
-    raise ParameterError(
-        f"unknown backend {name!r}; expected 'auto', 'dense' or 'csr'"
-    )
-
-
-class SnapshotBackends:
-    """One sampling backend per snapshot, sharing a stacked layout.
-
-    The dynamic engine's counterpart of :func:`select_backend`: for a
-    :class:`~repro.engine.dynamic.GraphSchedule`'s snapshots it builds
-    either
-
-    * the **stacked dense form** — every snapshot's padded neighbour
-      table stacked into one ``(S, n, d_max)`` array (``d_max`` the
-      schedule-wide maximum), each snapshot's :class:`DenseBackend`
-      indexing its own ``(n, d_max)`` view, so per-segment snapshot
-      selection is one extra leading gather index; or
-    * **per-snapshot CSR** — O(E) memory per snapshot for huge graphs,
-      sharing the same ``d_max`` envelope so the ``k > 2`` key-matrix
-      width (and hence the RNG draw shape) is uniform across snapshots.
-
-    All backends share ``k``; building them validates ``k`` against
-    every snapshot's minimum degree.
-    """
-
-    def __init__(
-        self,
-        adjacencies: Sequence[Adjacency],
-        k: int,
-        name: str = "auto",
-    ) -> None:
-        if not adjacencies:
-            raise ParameterError("at least one snapshot is required")
-        n = adjacencies[0].n
-        d_max = max(a.d_max for a in adjacencies)
-        if name not in ("auto", "dense", "csr"):
-            raise ParameterError(
-                f"unknown backend {name!r}; expected 'auto', 'dense' or 'csr'"
-            )
-        dense = name == "dense" or (
-            name == "auto"
-            and len(adjacencies) * n * d_max <= _DENSE_TABLE_LIMIT
-        )
-        self.d_max = d_max
-        if dense:
-            stack = np.zeros((len(adjacencies), n, d_max), dtype=np.int64)
-            for s, adjacency in enumerate(adjacencies):
-                padded = adjacency.padded_neighbors()
-                stack[s, :, : padded.shape[1]] = padded
-            stack.setflags(write=False)
-            self.table = stack
-            self.backends = [
-                DenseBackend(adjacency, k, d_max=d_max, table=stack[s])
-                for s, adjacency in enumerate(adjacencies)
-            ]
-        else:
-            self.table = None
-            self.backends = [
-                CSRBackend(adjacency, k, d_max=d_max)
-                for adjacency in adjacencies
-            ]
-        self.k = self.backends[0].k
-
-    def __len__(self) -> int:
-        return len(self.backends)
-
-    def __getitem__(self, snapshot_id: int) -> SamplingBackend:
-        return self.backends[snapshot_id]

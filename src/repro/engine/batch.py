@@ -50,12 +50,7 @@ import networkx as nx
 import numpy as np
 
 from repro.core.schedule import Schedule
-from repro.engine.backend import (
-    DenseBackend,
-    SamplingBackend,
-    SnapshotBackends,
-    select_backend,
-)
+from repro.engine.backend import SamplingBackend
 from repro.engine.dynamic import GraphSchedule
 from repro.engine.kernels import (
     DEFAULT_BLOCK_ROUNDS,
@@ -116,9 +111,6 @@ class BatchAveragingProcess(abc.ABC):
     lazy:
         Lazy variant (Section 4): each replica flips a fair coin per
         step and performs no update on tails.
-    backend:
-        ``"auto"`` | ``"dense"`` | ``"csr"`` — see
-        :mod:`repro.engine.backend`.
     kernel:
         One of :data:`~repro.engine.kernels.KERNEL_CHOICES`, resolved
         by :func:`~repro.engine.kernels.resolve_kernel`: ``"auto"``
@@ -135,7 +127,6 @@ class BatchAveragingProcess(abc.ABC):
         replicas: int | None = None,
         seed: SeedLike = None,
         lazy: bool = False,
-        backend: str = "auto",
         kernel: str = "auto",
     ) -> None:
         if not 0.0 <= alpha < 1.0:
@@ -176,10 +167,6 @@ class BatchAveragingProcess(abc.ABC):
         else:
             raise ParameterError("initial_values must be 1-D or 2-D")
 
-        if backend not in ("auto", "dense", "csr"):
-            raise ParameterError(
-                f"unknown backend {backend!r}; expected 'auto', 'dense' or 'csr'"
-            )
         self.alpha = float(alpha)
         self.lazy = bool(lazy)
         self.rng = as_generator(seed)
@@ -202,7 +189,6 @@ class BatchAveragingProcess(abc.ABC):
             self._pi_common = (
                 float(self._pi[0]) if self.adjacency.is_regular else None
             )
-        self._backend_name = backend
         self.kernel_requested = kernel
         self.kernel = resolve_kernel(kernel)
         self.block_rounds = DEFAULT_BLOCK_ROUNDS
@@ -343,7 +329,7 @@ class BatchAveragingProcess(abc.ABC):
         """Make the given schedule snapshot the active topology.
 
         Concrete models extend this with their own per-snapshot state
-        (the sampling backend, the directed edge list).
+        (the neighbour sampler, the directed edge list).
         """
         self._snapshot_id = snapshot_id
         self.adjacency = self.graph_schedule.snapshots[snapshot_id]
@@ -1006,7 +992,6 @@ class BatchNodeModel(BatchAveragingProcess):
         replicas: int | None = None,
         seed: SeedLike = None,
         lazy: bool = False,
-        backend: str = "auto",
         kernel: str = "auto",
     ) -> None:
         self.k = int(k)
@@ -1017,22 +1002,21 @@ class BatchNodeModel(BatchAveragingProcess):
             replicas=replicas,
             seed=seed,
             lazy=lazy,
-            backend=backend,
             kernel=kernel,
         )
         if self.graph_schedule is not None:
-            # Stacked multi-snapshot form: one (S, n, d_max) dense table
-            # (or per-snapshot CSR) sharing the schedule-wide d_max, so
-            # snapshot activation swaps a view, never rebuilds a table.
-            self._samplers = SnapshotBackends(
-                self.graph_schedule.snapshots, k, self._backend_name
-            )
-            self._sampler: SamplingBackend = self._samplers[0]
+            # One sampler per snapshot, all sharing the schedule-wide
+            # d_max, so the k > 2 key width (the RNG draw shape) does
+            # not change at a switch.
+            d_max = self.graph_schedule.d_max
+            self._samplers = [
+                SamplingBackend(a, k, d_max=d_max)
+                for a in self.graph_schedule.snapshots
+            ]
+            self._sampler = self._samplers[0]
         else:
             self._samplers = None
-            self._sampler = select_backend(
-                self.adjacency, k, self._backend_name
-            )
+            self._sampler = SamplingBackend(self.adjacency, k)
         self.k = self._sampler.k
         self._init_stepper()
 
@@ -1042,17 +1026,11 @@ class BatchNodeModel(BatchAveragingProcess):
 
     def _bind_stepper(self) -> None:
         sampler = self._sampler
-        pi = None if self._pi_common is not None else self._pi
-        if isinstance(sampler, DenseBackend):
-            self._stepper.bind(
-                degrees=sampler._degrees, table=sampler._table_flat,
-                stride=sampler.d_max, pi=pi,
-            )
-        else:
-            self._stepper.bind(
-                degrees=sampler._degrees, table=sampler._neighbors,
-                offsets=sampler._offsets, pi=pi,
-            )
+        self._stepper.bind(
+            degrees=sampler._degrees, table=sampler._neighbors,
+            offsets=sampler._offsets,
+            pi=None if self._pi_common is not None else self._pi,
+        )
 
     def _select_batch(self, rows, row_offsets):
         if self.k == 1:
@@ -1117,7 +1095,6 @@ class BatchEdgeModel(BatchAveragingProcess):
         replicas: int | None = None,
         seed: SeedLike = None,
         lazy: bool = False,
-        backend: str = "auto",
         kernel: str = "auto",
     ) -> None:
         super().__init__(
@@ -1127,7 +1104,6 @@ class BatchEdgeModel(BatchAveragingProcess):
             replicas=replicas,
             seed=seed,
             lazy=lazy,
-            backend=backend,
             kernel=kernel,
         )
         if self.graph_schedule is not None:

@@ -67,7 +67,6 @@ class EngineSpec:
     alpha: float
     k: int = 1
     lazy: bool = False
-    backend: str = "auto"
     kernel: str = "auto"
     graph_schedule: Optional[GraphSchedule] = None
     block_rounds: Optional[int] = None
@@ -122,14 +121,13 @@ class EngineSpec:
             and self.alpha == other.alpha
             and self.k == other.k
             and self.lazy == other.lazy
-            and self.backend == other.backend
             and self.kernel == other.kernel
             and self.graph_schedule == other.graph_schedule
             and self.block_rounds == other.block_rounds
         )
 
     def __hash__(self) -> int:
-        return hash((self.cache_token(), self.backend, self.kernel))
+        return hash((self.cache_token(), self.kernel))
 
     def build(self, replicas: int, seed: SeedLike = None) -> BatchAveragingProcess:
         """Instantiate the batch process for ``replicas`` replicas."""
@@ -147,7 +145,6 @@ class EngineSpec:
                 replicas=replicas,
                 seed=seed,
                 lazy=self.lazy,
-                backend=self.backend,
                 kernel=self.kernel,
             )
         else:
@@ -158,7 +155,6 @@ class EngineSpec:
                 replicas=replicas,
                 seed=seed,
                 lazy=self.lazy,
-                backend=self.backend,
                 kernel=self.kernel,
             )
         if self.block_rounds is not None:
@@ -168,12 +164,11 @@ class EngineSpec:
     def cache_token(self) -> str:
         """Deterministic text token identifying this configuration.
 
-        Backends are bit-identical at a fixed seed and do not
-        participate.  Kernels split into RNG *stream classes*: the
-        legacy per-round ``"numpy"`` layout and the block layout shared
-        (bit-identically) by ``"fused"`` and ``"jit"`` — cached samples
-        are keyed by stream class so a fused run reuses a jit run's
-        results while legacy runs stay distinct.  The stream class is
+        Kernels split into RNG *stream classes*: the legacy per-round
+        ``"numpy"`` layout and the block layout shared (bit-identically)
+        by ``"fused"`` and ``"jit"`` — cached samples are keyed by
+        stream class so a fused run reuses a jit run's results while
+        legacy runs stay distinct.  The stream class is
         computed via :func:`~repro.engine.kernels.resolve_kernel`, and
         ``kernel="auto"`` only ever resolves to a block kernel.  Block
         streams additionally key on the (normalised) ``block_rounds``:

@@ -64,7 +64,7 @@ from repro.engine.selection import (
     draw_node_block,
     normalise_picked,
 )
-from repro.engine.backend import select_backend
+from repro.engine.backend import SamplingBackend
 from repro.exceptions import ConvergenceError, ParameterError
 from repro.graphs.adjacency import Adjacency
 from repro.obs.metrics import METRICS
@@ -92,7 +92,7 @@ class BatchDualProcess:
     graph:
         Connected undirected graph (``networkx.Graph`` or pre-frozen
         :class:`Adjacency` — a prebuilt adjacency is reused as is, its
-        padded neighbour table and content hash included).
+        content hash included).
     alpha:
         Self-weight / laziness in ``[0, 1)``.
     k:
@@ -103,9 +103,6 @@ class BatchDualProcess:
     seed:
         Seed / generator driving the whole batch (selections *and*
         movement coins).
-    backend:
-        ``"auto"`` | ``"dense"`` | ``"csr"`` — the neighbour-sampling
-        backend shared with the primal engine.
     """
 
     def __init__(
@@ -115,7 +112,6 @@ class BatchDualProcess:
         k: int = 1,
         replicas: int | None = None,
         seed: SeedLike = None,
-        backend: str = "auto",
     ) -> None:
         if not 0.0 <= alpha < 1.0:
             raise ParameterError(f"alpha must be in [0, 1), got {alpha}")
@@ -127,7 +123,7 @@ class BatchDualProcess:
             graph if isinstance(graph, Adjacency) else Adjacency.from_graph(graph)
         )
         self.alpha = float(alpha)
-        self._sampler = select_backend(self.adjacency, k, backend)
+        self._sampler = SamplingBackend(self.adjacency, k)
         self.k = self._sampler.k
         self.replicas = int(replicas)
         self.rng = as_generator(seed)
@@ -227,11 +223,8 @@ class BatchDiffusion(BatchDualProcess):
         replicas: int | None = None,
         loads: np.ndarray | None = None,
         seed: SeedLike = None,
-        backend: str = "auto",
     ) -> None:
-        super().__init__(
-            graph, alpha, k=k, replicas=replicas, seed=seed, backend=backend
-        )
+        super().__init__(graph, alpha, k=k, replicas=replicas, seed=seed)
         self.cost = self._validate_cost(cost)
         n, B = self.n, self.replicas
         if loads is None:
@@ -387,11 +380,8 @@ class BatchWalks(BatchDualProcess):
         replicas: int | None = None,
         positions: Sequence[int] | np.ndarray | None = None,
         seed: SeedLike = None,
-        backend: str = "auto",
     ) -> None:
-        super().__init__(
-            graph, alpha, k=k, replicas=replicas, seed=seed, backend=backend
-        )
+        super().__init__(graph, alpha, k=k, replicas=replicas, seed=seed)
         self.cost = self._validate_cost(cost)
         n, B = self.n, self.replicas
         if positions is None:
@@ -541,12 +531,9 @@ class BatchCoalescing(BatchDualProcess):
         alpha: float = 0.0,
         replicas: int | None = None,
         seed: SeedLike = None,
-        backend: str = "auto",
         track_positions: bool = True,
     ) -> None:
-        super().__init__(
-            graph, alpha, k=1, replicas=replicas, seed=seed, backend=backend
-        )
+        super().__init__(graph, alpha, k=1, replicas=replicas, seed=seed)
         n, B = self.n, self.replicas
         self.positions: np.ndarray | None = (
             np.broadcast_to(np.arange(n, dtype=np.int64), (B, n)).copy()
@@ -684,7 +671,6 @@ class DualSpec:
     alpha: float
     k: int = 1
     cost: Optional[np.ndarray] = None
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.kind not in DUAL_KINDS:
@@ -714,19 +700,13 @@ class DualSpec:
                 (self.cost is None) == (other.cost is None)
                 and (self.cost is None or np.array_equal(self.cost, other.cost))
             )
-            and self.backend == other.backend
         )
 
     def __hash__(self) -> int:
-        return hash((self.cache_token(), self.backend))
+        return hash(self.cache_token())
 
     def cache_token(self) -> str:
-        """Deterministic text token identifying this configuration.
-
-        Backends are bit-identical at a fixed seed and do not
-        participate (as for the primal
-        :meth:`~repro.engine.driver.EngineSpec.cache_token`).
-        """
+        """Deterministic text token identifying this configuration."""
         if self.cost is None:
             digest = "none"
         else:
@@ -748,7 +728,6 @@ class DualSpec:
                 k=self.k,
                 replicas=replicas,
                 seed=seed,
-                backend=self.backend,
             )
         if self.kind == "walks":
             return BatchWalks(
@@ -758,14 +737,12 @@ class DualSpec:
                 k=self.k,
                 replicas=replicas,
                 seed=seed,
-                backend=self.backend,
             )
         return BatchCoalescing(
             self.adjacency,
             alpha=self.alpha,
             replicas=replicas,
             seed=seed,
-            backend=self.backend,
             track_positions=False,
         )
 
@@ -880,7 +857,6 @@ def run_duality_batch(
     seed: SeedLike = None,
     kind: str = "node",
     lazy: bool = False,
-    backend: str = "auto",
     kernel: str = "auto",
 ) -> BatchDualityReport:
     """Couple a primal batch run with its time-reversed batch diffusion.
@@ -911,7 +887,6 @@ def run_duality_batch(
             replicas=replicas,
             seed=seed,
             lazy=lazy,
-            backend=backend,
             kernel=kernel,
         )
     else:
@@ -922,7 +897,6 @@ def run_duality_batch(
             replicas=replicas,
             seed=seed,
             lazy=lazy,
-            backend=backend,
             kernel=kernel,
         )
     tracer = active_tracer()
@@ -944,7 +918,6 @@ def run_duality_batch(
             alpha=alpha,
             k=k if kind == "node" else 1,
             replicas=replicas,
-            backend=backend,
         )
         with tracer.span("dual.reversed_replay"):
             diffusion.apply_selections(selections.reversed())

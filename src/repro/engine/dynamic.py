@@ -27,7 +27,7 @@ the caller's generator and are hashable by content.
 
 The engine discipline (see :mod:`repro.engine.batch`): kernel blocks
 never straddle a switch boundary, so within one block the snapshot —
-hence the sampling backend, the edge list and the pi weights — is
+hence the neighbour sampler, the edge list and the pi weights — is
 constant, and chunked convergence detection stays exact.
 """
 
@@ -102,7 +102,8 @@ class GraphSchedule(abc.ABC):
 
     @property
     def d_max(self) -> int:
-        """Largest degree over all snapshots (the stacked-table width)."""
+        """Largest degree over all snapshots (the ``d_max`` envelope every
+        snapshot's neighbour sampler shares)."""
         return max(a.d_max for a in self.snapshots)
 
     @property

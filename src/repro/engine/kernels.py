@@ -477,7 +477,7 @@ def _model_struct():
         class Model(ctypes.Structure):
             _fields_ = [
                 ("n", i64), ("replicas", i64), ("k", i64), ("lazy", i64),
-                ("table", ptr), ("stride", i64), ("offsets", ptr),
+                ("table", ptr), ("offsets", ptr),
                 ("table_size", i64), ("degrees", ptr), ("tails", ptr),
                 ("heads", ptr), ("edges", i64), ("alpha", f64),
                 ("beta_k", f64), ("pi", ptr),
@@ -544,15 +544,14 @@ class BlockStepper:
         self.times = np.zeros(3)
         self._times_ptr = self.times.ctypes.data
 
-    def bind(self, *, degrees=None, table=None, stride=0, offsets=None,
+    def bind(self, *, degrees=None, table=None, offsets=None,
              tails=None, heads=None, pi=None) -> None:
         """Install a snapshot's sampling source.
 
-        The node model passes its ``degrees`` and either the dense
-        ``(n, stride)`` neighbour ``table`` (flattened) or the CSR
-        ``table`` of neighbours with their ``offsets``; the edge model
-        passes ``tails`` and ``heads``.  ``pi`` (irregular graphs only)
-        yields the record-mode weights.  Every array must be a
+        The node model passes its ``degrees`` and the CSR arrays: the
+        ``table`` of concatenated neighbour lists and their ``offsets``;
+        the edge model passes ``tails`` and ``heads``.  ``pi`` (irregular
+        graphs only) yields the record-mode weights.  Every array must be a
         C-contiguous vector of its dtype and of the length the C loop
         indexes (``table`` is bounded by its own size): the loop reads
         them in place.
@@ -576,7 +575,6 @@ class BlockStepper:
         model = self._model
         for name, (array, _) in arrays.items():
             setattr(model, name, _pointer(array))
-        model.stride = int(stride)
         model.table_size = 0 if table is None else table.size
         model.edges = 0 if tails is None else tails.size
         model.pi = _pointer(pi)

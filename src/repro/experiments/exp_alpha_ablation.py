@@ -18,8 +18,6 @@ trade-off a user of the protocol must pick on.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.api import (
     ParamSpec,
     engine_param,

@@ -7,8 +7,8 @@ converge when the topology rotates through connected snapshots.  This
 experiment measures ``T_eps`` on a time-varying topology — a
 :class:`~repro.engine.dynamic.GraphSchedule` over random regular
 snapshots — against the static baseline of its first snapshot, for
-both models, through the batch engine's dynamic path (stacked
-multi-snapshot sampling, switch-aligned kernel blocks, exact chunked
+both models, through the batch engine's dynamic path (per-snapshot
+neighbour sampling, switch-aligned kernel blocks, exact chunked
 detection).
 
 On well-mixing snapshot pools the dynamic/static ratio stays O(1): each
@@ -20,8 +20,6 @@ and ``--snapshots``.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.api import (
     ParamSpec,

@@ -12,8 +12,6 @@ paper conjectures.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.api import (
     ParamSpec,
     engine_param,

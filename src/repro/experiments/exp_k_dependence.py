@@ -11,8 +11,6 @@ a factor ~2 while ``k`` varies by a factor ``d``.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.api import (
     ParamSpec,
     engine_param,

@@ -9,6 +9,10 @@ NumPy arrays:
 * ``offsets`` — ``offsets[u]:offsets[u+1]`` slices node ``u``'s neighbours,
 * ``degrees`` — per-node degrees.
 
+The batch engine (:mod:`repro.engine`) samples neighbours for a whole
+replica batch straight off ``neighbors`` and ``offsets``, in Python and
+in its compiled block loop alike.
+
 It also precomputes the directed edge list (both orientations of every
 undirected edge) so the EdgeModel can draw a uniform directed edge with a
 single integer sample, matching Definition 2.3 exactly.
@@ -188,31 +192,6 @@ class Adjacency:
     def stationary_pi(self) -> np.ndarray:
         """Random-walk stationary distribution ``pi_u = d_u / 2m`` (Eq. 1)."""
         return self.degrees / float(self.num_directed_edges)
-
-    # ------------------------------------------------------------------
-    # Batched access (repro.engine)
-    # ------------------------------------------------------------------
-    def padded_neighbors(self) -> np.ndarray:
-        """Dense ``(n, d_max)`` neighbour table.
-
-        Row ``u`` holds ``u``'s sorted neighbours in its first ``d_u``
-        slots; the remaining slots are zero-padding that samplers must
-        never index past :attr:`degrees` ``[u]``.  The batch engine's
-        dense backend samples neighbours for a whole replica batch with
-        one fancy-indexing gather on this table.  Built lazily and
-        cached on the (frozen) instance; the returned array is
-        read-only.
-        """
-        cached = self.__dict__.get("_padded")
-        if cached is None:
-            table = np.zeros((self.n, self.d_max), dtype=np.int64)
-            for u in range(self.n):
-                start, end = self.offsets[u], self.offsets[u + 1]
-                table[u, : end - start] = self.neighbors[start:end]
-            table.setflags(write=False)
-            cached = table
-            object.__setattr__(self, "_padded", cached)
-        return cached
 
     def content_hash(self) -> str:
         """Stable hex digest of the graph structure.

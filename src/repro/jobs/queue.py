@@ -46,7 +46,6 @@ from repro.exceptions import JobError
 from repro.faults import injector as _faults
 from repro.jobs.dedup import DedupIndex
 from repro.jobs.model import (
-    ACTIVE_STATES,
     CANCELLED,
     CLAIMED,
     COALESCED,

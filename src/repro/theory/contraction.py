@@ -73,27 +73,6 @@ def edge_model_contraction_factor(m: int, lambda2_l: float, alpha: float) -> flo
     return 1.0 - alpha * (1.0 - alpha) * lambda2_l / m
 
 
-def mean_state_contraction_factor(n: int, lambda2: float, alpha: float) -> float:
-    """Contraction of the *expected state* along ``f_2`` (Eq. 43).
-
-    ``E[xi(t)] = q_2^t f_2`` for ``xi(0) = f_2``, where the expected update
-    matrix is ``I - (1-alpha)/n (I - P_simple)`` (Appendix A) and hence
-
-        q_2 = 1 - (1-alpha)(1 - lambda_2(P_simple)) / n
-            = 1 - 2 (1-alpha)(1 - lambda_2(P_lazy)) / n.
-
-    ``lambda2`` here is the library-standard *lazy* eigenvalue (Section 4);
-    the factor 2 converts via ``lambda_simple = 2 lambda_lazy - 1``.
-    """
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
-    if not 0.0 <= lambda2 < 1.0:
-        raise ParameterError(f"lambda2 must be in [0, 1), got {lambda2}")
-    if not 0.0 <= alpha < 1.0:
-        raise ParameterError(f"alpha must be in [0, 1), got {alpha}")
-    return 1.0 - 2.0 * (1.0 - alpha) * (1.0 - lambda2) / n
-
-
 def exact_one_step_phi(
     graph: GraphLike, values: np.ndarray, alpha: float, k: int = 1,
     model: str = "node",

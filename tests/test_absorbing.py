@@ -20,7 +20,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.exceptions import ConvergenceError, ParameterError
+from repro.exceptions import ParameterError
 from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import (
     complete_graph,

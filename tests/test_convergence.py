@@ -1,6 +1,5 @@
 """Tests for eps-convergence detection and T_eps measurement."""
 
-import numpy as np
 import pytest
 
 from repro.core.convergence import measure_t_eps, run_to_consensus

@@ -184,9 +184,8 @@ class TestPrimalSelectionRecording:
 # BatchDiffusion
 # ----------------------------------------------------------------------
 class TestBatchDiffusion:
-    @pytest.mark.parametrize("backend", ["dense", "csr"])
     @pytest.mark.parametrize("k", [1, 2])
-    def test_shared_replay_bit_identical_to_scalar(self, regular16, backend, k):
+    def test_shared_replay_bit_identical_to_scalar(self, regular16, k):
         """Every replica replaying a shared schedule equals the scalar
         facade bit for bit (the diffusion replay is deterministic)."""
         cost = np.linspace(-2.0, 3.0, 16)
@@ -194,7 +193,7 @@ class TestBatchDiffusion:
         scalar = DiffusionProcess(regular16, cost=cost, alpha=0.3, k=k)
         scalar.replay(schedule)
         batch = BatchDiffusion(
-            regular16, cost=cost, alpha=0.3, k=k, replicas=4, backend=backend
+            regular16, cost=cost, alpha=0.3, k=k, replicas=4
         )
         batch.replay(schedule)
         for b in range(4):
@@ -242,18 +241,6 @@ class TestBatchDiffusion:
         ds = diffusion.recorded_selections()
         np.testing.assert_array_equal(ps.nodes, ds.nodes)
         np.testing.assert_array_equal(ps.picked, ds.picked)
-
-    def test_dense_csr_bit_identical_free_run(self, irregular12):
-        cost = np.linspace(0.0, 1.0, 12)
-        runs = []
-        for backend in ("dense", "csr"):
-            batch = BatchDiffusion(
-                irregular12, cost=cost, alpha=0.4, k=1, replicas=4, seed=21,
-                backend=backend,
-            )
-            batch.run(250)
-            runs.append(batch.loads.copy())
-        np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_mass_conserved_and_shapes(self, regular16):
         batch = BatchDiffusion(

@@ -11,7 +11,7 @@ schedule's snapshot stream must replay bit-identically through
 3. the fused / jit block kernels,
 
 and free-running dynamic batches must keep every static guarantee:
-fused == numpy stream equality (node ``k = 1``), dense == CSR,
+fused == numpy stream equality (node ``k = 1``),
 fused == jit bit-equivalence, chunk invariance of ``run()``, and
 ``run_until_phi`` hitting times exact and invariant to ``block_rounds``
 *across switch boundaries*.  The cache-key audit at the bottom pins the
@@ -313,21 +313,6 @@ class TestDynamicFreeRunning:
             chunked.run(chunk)
         np.testing.assert_array_equal(one.values, chunked.values)
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_dense_and_csr_identical(self, snapshots12, values12, k):
-        schedule = CyclicSchedule(snapshots12, 9)
-        dense = BatchNodeModel(
-            schedule, values12, 0.5, k=k, replicas=5, seed=11,
-            backend="dense", kernel="fused",
-        )
-        csr = BatchNodeModel(
-            schedule, values12, 0.5, k=k, replicas=5, seed=11,
-            backend="csr", kernel="fused",
-        )
-        dense.run(400)
-        csr.run(400)
-        np.testing.assert_array_equal(dense.values, csr.values)
-
     @needs_jit
     def test_jit_bit_identical_to_fused(self, snapshots12, values12):
         schedule = CyclicSchedule(snapshots12, 13)
@@ -356,18 +341,17 @@ class TestDynamicFreeRunning:
         batch.run(300)
         np.testing.assert_array_equal(facade.values, batch.values[0])
 
-    def test_stacked_dense_table_shared(self, snapshots12, values12):
+    def test_snapshot_samplers_share_d_max(self, snapshots12, values12):
+        """Every snapshot's sampler takes the schedule-wide d_max, so the
+        k > 2 key width (the RNG draw shape) is the same in every
+        segment."""
         batch = BatchNodeModel(
             CyclicSchedule(snapshots12, 5), values12, 0.5, k=1, replicas=2,
-            seed=0, backend="dense",
+            seed=0,
         )
-        stack = batch._samplers.table
-        assert stack is not None
-        assert stack.shape == (3, 12, max(a.d_max for a in snapshots12))
-        for s, backend in enumerate(batch._samplers.backends):
-            assert backend._table.base is stack or np.shares_memory(
-                backend._table, stack
-            )
+        d_max = max(a.d_max for a in snapshots12)
+        assert [s.d_max for s in batch._samplers] == [d_max] * 3
+        assert [s.adjacency for s in batch._samplers] == list(snapshots12)
 
 
 class TestDynamicHittingTimes:

@@ -113,44 +113,6 @@ class TestScheduleReplayEquivalence:
             np.testing.assert_array_equal(batch.values[1], ref.values)
 
 
-class TestBackendAgreement:
-    def test_dense_and_csr_identical_k1_irregular(self, star5):
-        import networkx as nx
-
-        graph = nx.connected_watts_strogatz_graph(30, 6, 0.3, seed=2)
-        values = center_simple(np.random.default_rng(0).normal(size=30))
-        dense = BatchNodeModel(
-            graph, values, alpha=0.5, k=1, replicas=8, seed=11, backend="dense"
-        )
-        csr = BatchNodeModel(
-            graph, values, alpha=0.5, k=1, replicas=8, seed=11, backend="csr"
-        )
-        dense.run(400)
-        csr.run(400)
-        np.testing.assert_array_equal(dense.values, csr.values)
-
-    def test_dense_and_csr_identical_general_k(self):
-        import networkx as nx
-
-        graph = nx.connected_watts_strogatz_graph(30, 6, 0.3, seed=3)
-        values = center_simple(np.random.default_rng(1).normal(size=30))
-        dense = BatchNodeModel(
-            graph, values, alpha=0.5, k=2, replicas=8, seed=13, backend="dense"
-        )
-        csr = BatchNodeModel(
-            graph, values, alpha=0.5, k=2, replicas=8, seed=13, backend="csr"
-        )
-        dense.run(400)
-        csr.run(400)
-        np.testing.assert_array_equal(dense.values, csr.values)
-
-    def test_unknown_backend_rejected(self, regular36, values36):
-        with pytest.raises(ParameterError):
-            BatchNodeModel(
-                regular36, values36, alpha=0.5, replicas=2, backend="gpu"
-            )
-
-
 class TestStatisticalEquivalence:
     """Each engine draws its own randomness; moments must agree."""
 
@@ -498,7 +460,7 @@ CONSENSUS_COUNTERS = ("engine.replica_steps", "engine.rng_blocks",
                       "engine.harvest.rows", "engine.harvest.scanned_rows")
 
 
-def _consensus_twins(shape, graph, backend="auto", x0=None, seed=3,
+def _consensus_twins(shape, graph, x0=None, seed=3,
                      replicas=8, block_rounds=None, bit_generator=None):
     """Builders of the same batch under fused and under jit."""
     kind, k, lazy = shape
@@ -511,8 +473,7 @@ def _consensus_twins(shape, graph, backend="auto", x0=None, seed=3,
                else np.random.Generator(bit_generator(seed)))
         if kind == "node":
             batch = BatchNodeModel(graph, x0, 0.5, k=k, replicas=replicas,
-                                   seed=rng, lazy=lazy, backend=backend,
-                                   kernel=kernel)
+                                   seed=rng, lazy=lazy, kernel=kernel)
         else:
             batch = BatchEdgeModel(graph, x0, 0.5, replicas=replicas,
                                    seed=rng, lazy=lazy, kernel=kernel)
@@ -567,18 +528,16 @@ class TestConsensusInC:
         return got
 
     @pytest.mark.parametrize(
-        "shape, graph, backend",
+        "shape, graph",
         [
-            (shape, graph, backend)
+            (shape, graph)
             for shape in CONSENSUS_SHAPES
             for graph in ("star", "lollipop", "er", "regular")
-            # The edge model samples from its edge list, not a backend.
-            for backend in (("dense",) if shape[0] == "edge" else ("dense", "csr"))
             if shape[1] == 1 or graph not in ("star", "lollipop")
         ],
     )
-    def test_matches_fused_and_the_full_scan(self, shape, graph, backend):
-        build = _consensus_twins(shape, _consensus_graph(graph), backend)
+    def test_matches_fused_and_the_full_scan(self, shape, graph):
+        build = _consensus_twins(shape, _consensus_graph(graph))
         result = self._check(build, discrepancy_tol=1e-6)[0]
         _assert_same_consensus(
             result, _full_scan_consensus(build("fused"), 1e-6, 50_000_000)

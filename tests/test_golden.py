@@ -1,8 +1,8 @@
 """Golden-trajectory regression fixtures.
 
-A small matrix of (model x kernel x backend x static/dynamic) cells is
-run at frozen seeds and the exact end state hashed; the hashes live in
-``tests/golden/trajectories.json``.  Future kernel or backend refactors
+A small matrix of (model x kernel x static/dynamic) cells is run at
+frozen seeds and the exact end state hashed; the hashes live in
+``tests/golden/trajectories.json``.  Future kernel or sampling refactors
 cannot silently change a realized trajectory: any drift fails here with
 the offending cell named.
 
@@ -65,65 +65,64 @@ def _graph(topology: str):
 
 
 #: cell id -> construction recipe.  Kernel "jit" is deliberately absent
-#: (bit-identical to "fused"; see test_jit_matches_fused_cells).
+#: (bit-identical to "fused"; see test_jit_matches_fused_cells).  Cell
+#: ids name the sampling layout (``dense`` or ``csr``) their frozen
+#: hashes were recorded under; sampling has one layout, so each
+#: ``node-k1.fused`` dense/csr pair runs one recipe against two equal
+#: hashes.
 CELLS = {
-    "node-k1.numpy.dense.static": ("node", "numpy", "dense", "static", 1, False),
-    "node-k1.fused.dense.static": ("node", "fused", "dense", "static", 1, False),
-    "node-k1.fused.csr.static": ("node", "fused", "csr", "static", 1, False),
+    "node-k1.numpy.dense.static": ("node", "numpy", "static", 1, False),
+    "node-k1.fused.dense.static": ("node", "fused", "static", 1, False),
+    "node-k1.fused.csr.static": ("node", "fused", "static", 1, False),
     "node-k2.fused.dense.static-irregular": (
-        "node", "fused", "dense", "static-irregular", 2, False,
+        "node", "fused", "static-irregular", 2, False,
     ),
-    "node-k1-lazy.fused.dense.static": (
-        "node", "fused", "dense", "static", 1, True,
-    ),
-    "edge.numpy.dense.static": ("edge", "numpy", "dense", "static", 1, False),
-    "edge.fused.dense.static": ("edge", "fused", "dense", "static", 1, False),
-    "node-k1.numpy.dense.dynamic": ("node", "numpy", "dense", "dynamic", 1, False),
-    "node-k1.fused.dense.dynamic": ("node", "fused", "dense", "dynamic", 1, False),
-    "node-k1.fused.csr.dynamic": ("node", "fused", "csr", "dynamic", 1, False),
-    "node-k2.fused.dense.dynamic": ("node", "fused", "dense", "dynamic", 2, False),
-    "node-k1-lazy.fused.dense.dynamic": (
-        "node", "fused", "dense", "dynamic", 1, True,
-    ),
-    "edge.numpy.dense.dynamic": ("edge", "numpy", "dense", "dynamic", 1, False),
-    "edge.fused.dense.dynamic": ("edge", "fused", "dense", "dynamic", 1, False),
+    "node-k1-lazy.fused.dense.static": ("node", "fused", "static", 1, True),
+    "edge.numpy.dense.static": ("edge", "numpy", "static", 1, False),
+    "edge.fused.dense.static": ("edge", "fused", "static", 1, False),
+    "node-k1.numpy.dense.dynamic": ("node", "numpy", "dynamic", 1, False),
+    "node-k1.fused.dense.dynamic": ("node", "fused", "dynamic", 1, False),
+    "node-k1.fused.csr.dynamic": ("node", "fused", "dynamic", 1, False),
+    "node-k2.fused.dense.dynamic": ("node", "fused", "dynamic", 2, False),
+    "node-k1-lazy.fused.dense.dynamic": ("node", "fused", "dynamic", 1, True),
+    "edge.numpy.dense.dynamic": ("edge", "numpy", "dynamic", 1, False),
+    "edge.fused.dense.dynamic": ("edge", "fused", "dynamic", 1, False),
 }
 
 
-#: Dual-engine cells: kind, backend, topology key, k, alpha.  The
+#: Dual-engine cells: kind, topology key, k, alpha.  The
 #: diffusion/walk/coalescing batch processes are deterministic at the
 #: frozen seed exactly like the primal ones.
 DUAL_CELLS = {
-    "dual-diffusion-k1.dense.static": ("diffusion", "dense", "static", 1, 0.5),
+    "dual-diffusion-k1.dense.static": ("diffusion", "static", 1, 0.5),
     "dual-diffusion-k2.csr.static-irregular": (
-        "diffusion", "csr", "static-irregular", 2, 0.25,
+        "diffusion", "static-irregular", 2, 0.25,
     ),
-    "dual-walks-k1.dense.static": ("walks", "dense", "static", 1, 0.5),
+    "dual-walks-k1.dense.static": ("walks", "static", 1, 0.5),
     "dual-walks-k2.dense.static-irregular": (
-        "walks", "dense", "static-irregular", 2, 0.5,
+        "walks", "static-irregular", 2, 0.5,
     ),
-    "dual-coalescing.dense.static": ("coalescing", "dense", "static", 1, 0.25),
+    "dual-coalescing.dense.static": ("coalescing", "static", 1, 0.25),
 }
 
 
 def _run_dual_cell(recipe):
-    kind, backend, topology, k, alpha = recipe
+    kind, topology, k, alpha = recipe
     cost = center_simple(linear_ramp(N, 0.0, 1.0))
     adjacency = _graph(topology)
     if kind == "diffusion":
         batch = BatchDiffusion(
             adjacency, cost=cost, alpha=alpha, k=k, replicas=REPLICAS,
-            seed=SEED, backend=backend,
+            seed=SEED,
         )
     elif kind == "walks":
         batch = BatchWalks(
             adjacency, cost=cost, alpha=alpha, k=k, replicas=REPLICAS,
-            seed=SEED, backend=backend,
+            seed=SEED,
         )
     else:
         batch = BatchCoalescing(
-            adjacency, alpha=alpha, replicas=REPLICAS, seed=SEED,
-            backend=backend,
+            adjacency, alpha=alpha, replicas=REPLICAS, seed=SEED
         )
     batch.run(STEPS)
     return batch
@@ -140,18 +139,18 @@ def _dual_state_hash(batch) -> str:
 
 
 def _run_cell(recipe):
-    model, kernel, backend, topology, k, lazy = recipe
+    model, kernel, topology, k, lazy = recipe
     initial = center_simple(linear_ramp(N, 0.0, 1.0))
     graph = _graph(topology)
     if model == "node":
         batch = BatchNodeModel(
             graph, initial, 0.5, k=k, replicas=REPLICAS, seed=SEED,
-            lazy=lazy, backend=backend, kernel=kernel,
+            lazy=lazy, kernel=kernel,
         )
     else:
         batch = BatchEdgeModel(
             graph, initial, 0.5, replicas=REPLICAS, seed=SEED,
-            lazy=lazy, backend=backend, kernel=kernel,
+            lazy=lazy, kernel=kernel,
         )
     batch.run(STEPS)
     return batch
@@ -261,8 +260,8 @@ def test_end_state_matches_golden_under_tracing(cell_id):
 )
 def test_jit_matches_fused_cells(cell_id):
     """jit is hashed implicitly: bit-identical to the fused golden."""
-    model, _, backend, topology, k, lazy = CELLS[cell_id]
-    fused = _run_cell((model, "fused", backend, topology, k, lazy))
-    jit = _run_cell((model, "jit", backend, topology, k, lazy))
+    model, _, topology, k, lazy = CELLS[cell_id]
+    fused = _run_cell((model, "fused", topology, k, lazy))
+    jit = _run_cell((model, "jit", topology, k, lazy))
     assert jit.kernel == "jit"
     np.testing.assert_array_equal(fused.values, jit.values)

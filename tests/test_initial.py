@@ -15,10 +15,6 @@ from repro.graphs.spectral import (
 
 
 class TestPlainFamilies:
-    def test_constant(self):
-        values = initial.constant_values(5, 2.0)
-        assert np.allclose(values, 2.0)
-
     def test_indicator(self):
         values = initial.indicator_values(5, node=2, scale=3.0)
         assert values[2] == 3.0
@@ -57,15 +53,6 @@ class TestPlainFamilies:
     def test_rademacher_norm(self):
         values = initial.rademacher_values(64, seed=3)
         assert np.sum(values**2) == pytest.approx(64.0)
-
-    def test_bipartition_default_split(self):
-        values = initial.bipartition_values(6)
-        assert values.tolist() == [1.0, 1.0, 1.0, -1.0, -1.0, -1.0]
-
-    def test_bipartition_bounds(self):
-        with pytest.raises(ParameterError):
-            initial.bipartition_values(5, split=6)
-
 
 
 class TestCentering:

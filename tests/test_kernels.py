@@ -164,9 +164,8 @@ class TestScheduleReplayAcrossKernels:
 class TestFusedMatchesLegacyStream:
     """Non-lazy node k=1 free runs share the numpy kernel's RNG layout."""
 
-    @pytest.mark.parametrize("backend", ["dense", "csr"])
     def test_regular_and_irregular(
-        self, regular64, values64, irregular30, values30, backend
+        self, regular64, values64, irregular30, values30
     ):
         for graph, values, n_rep in (
             (regular64, values64, 8),
@@ -174,11 +173,11 @@ class TestFusedMatchesLegacyStream:
         ):
             legacy = BatchNodeModel(
                 graph, values, alpha=0.4, k=1, replicas=n_rep, seed=7,
-                kernel="numpy", backend=backend,
+                kernel="numpy",
             )
             fused = BatchNodeModel(
                 graph, values, alpha=0.4, k=1, replicas=n_rep, seed=7,
-                kernel="fused", backend=backend,
+                kernel="fused",
             )
             legacy.run(600)
             fused.run(600)
@@ -394,7 +393,7 @@ def _stepper_graph(kind):
     )
 
 
-def _stepper_twins(model, k, lazy, graph, backend="auto", replicas=7, seed=5):
+def _stepper_twins(model, k, lazy, graph, replicas=7, seed=5):
     """The same batch under the fused and the jit kernel."""
     if isinstance(graph, CyclicSchedule):
         n = graph.snapshots[0].n
@@ -406,7 +405,7 @@ def _stepper_twins(model, k, lazy, graph, backend="auto", replicas=7, seed=5):
     )
     fused, jit = (
         cls(graph, values, 0.4, replicas=replicas, seed=seed, lazy=lazy,
-            backend=backend, kernel=kernel, **extra)
+            kernel=kernel, **extra)
         for kernel in ("fused", "jit")
     )
     assert fused._stepper is None and jit._stepper is not None
@@ -433,7 +432,6 @@ def _assert_twins_agree(fused, jit, block_rounds, frozen, epsilon=1e-6):
 class TestBlockStepper:
     """The jit kernel's one-call blocks decode exactly as fused does."""
 
-    @pytest.mark.parametrize("backend", ["dense", "csr"])
     @pytest.mark.parametrize(
         "model, k, lazy, graph",
         [
@@ -443,10 +441,8 @@ class TestBlockStepper:
             if k == 1 or graph not in ("star", "lollipop")
         ],
     )
-    def test_bit_identical_to_fused(self, model, k, lazy, graph, backend):
-        fused, jit = _stepper_twins(
-            model, k, lazy, _stepper_graph(graph), backend
-        )
+    def test_bit_identical_to_fused(self, model, k, lazy, graph):
+        fused, jit = _stepper_twins(model, k, lazy, _stepper_graph(graph))
         # 37 divides neither 100 nor 61, nor the schedule's switch period.
         _assert_twins_agree(fused, jit, 37, [1, 4])
 
@@ -455,12 +451,11 @@ class TestBlockStepper:
         n=st.integers(5, 40),
         seed=st.integers(0, 2**16),
         shape=st.sampled_from(STEPPER_SHAPES),
-        backend=st.sampled_from(["dense", "csr"]),
         block_rounds=st.integers(1, 300),
         frozen=st.sets(st.integers(0, 5), max_size=6),
     )
     def test_property_bit_identical(
-        self, n, seed, shape, backend, block_rounds, frozen
+        self, n, seed, shape, block_rounds, frozen
     ):
         import networkx as nx
 
@@ -468,7 +463,7 @@ class TestBlockStepper:
         graph = nx.connected_watts_strogatz_graph(n, 4, 0.3, seed=seed)
         assume(min(d for _, d in graph.degree) >= k)
         fused, jit = _stepper_twins(
-            model, k, lazy, graph, backend, replicas=6, seed=seed
+            model, k, lazy, graph, replicas=6, seed=seed
         )
         _assert_twins_agree(fused, jit, block_rounds, sorted(frozen))
 
@@ -512,15 +507,15 @@ class TestBlockStepper:
         assert (jit.run_until_phi(1e-6, 200_000) > 0).all()
 
     @pytest.mark.parametrize("record", [False, True])
-    @pytest.mark.parametrize("backend", ["dense", "csr"])
+    @pytest.mark.parametrize("corruption", ["offsets", "neighbour"])
     def test_corrupted_source_raises_before_any_write(
-        self, regular64, values64, backend, record
+        self, regular64, values64, corruption, record
     ):
         import copy
 
         batch = BatchNodeModel(
             regular64, values64, alpha=0.5, k=1, replicas=4, seed=5,
-            backend=backend, kernel="jit",
+            kernel="jit",
         )
         batch.block_rounds = 64
         batch.run(3)
@@ -529,19 +524,16 @@ class TestBlockStepper:
         u = copy.deepcopy(batch.rng).random((64, 4))
         node = int(u[-1, 0] * 64)
         sampler = batch._sampler
-        if backend == "dense":
-            table = sampler._table_flat.copy()
-            table[node * sampler.d_max:(node + 1) * sampler.d_max] = -1
-            batch._stepper.bind(
-                degrees=sampler._degrees, table=table, stride=sampler.d_max
-            )
+        table, offsets = sampler._neighbors, sampler._offsets
+        if corruption == "offsets":
+            offsets = offsets.copy()
+            offsets[node] = table.size
         else:
-            offsets = sampler._offsets.copy()
-            offsets[node] = sampler._neighbors.size
-            batch._stepper.bind(
-                degrees=sampler._degrees, table=sampler._neighbors,
-                offsets=offsets,
-            )
+            table = table.copy()
+            table[offsets[node]:offsets[node + 1]] = -1
+        batch._stepper.bind(
+            degrees=sampler._degrees, table=table, offsets=offsets
+        )
         before = batch.values.copy()
         with pytest.raises(IndexError):
             if record:
@@ -1381,37 +1373,28 @@ class TestHighDegreeSubsets:
         assert batch._sampler._rejection_subsets
         assert not batch._sampler.uses_subset_keys
 
-    def test_dense_and_csr_agree(self):
-        graph = complete_graph(70)
-        values = center_simple(np.random.default_rng(4).normal(size=70))
-        dense = BatchNodeModel(
-            graph, values, alpha=0.5, k=2, replicas=6, seed=17,
-            backend="dense", kernel="fused",
-        )
-        csr = BatchNodeModel(
-            graph, values, alpha=0.5, k=2, replicas=6, seed=17,
-            backend="csr", kernel="fused",
-        )
-        dense.run(300)
-        csr.run(300)
-        np.testing.assert_array_equal(dense.values, csr.values)
-
-    def test_perround_rejection_dense_csr_agree(self):
-        """kernel='numpy' exercises rejection sampling per round, in
+    def test_perround_rejection_draws_distinct_neighbours(self):
+        """kernel='numpy' rejection-samples per round, in
         BatchNodeModel._select_batch via SamplingBackend.pick_subsets."""
         graph = complete_graph(70)
         values = center_simple(np.random.default_rng(5).normal(size=70))
-        dense = BatchNodeModel(
+        batch = BatchNodeModel(
             graph, values, alpha=0.5, k=3, replicas=4, seed=19,
-            backend="dense", kernel="numpy",
+            kernel="numpy",
         )
-        csr = BatchNodeModel(
-            graph, values, alpha=0.5, k=3, replicas=4, seed=19,
-            backend="csr", kernel="numpy",
+        assert batch._sampler._rejection_subsets
+        nodes = np.random.default_rng(0).integers(0, 70, size=(50, 4))
+        picked = batch._sampler.pick_subsets(
+            nodes, None, np.random.default_rng(1)
         )
-        dense.run(200)
-        csr.run(200)
-        np.testing.assert_array_equal(dense.values, csr.values)
+        assert picked.shape == (50, 4, 3)
+        ordered = np.sort(picked, axis=-1)
+        assert (ordered[..., 1:] != ordered[..., :-1]).all()
+        assert (picked != nodes[..., None]).all()
+        assert ((picked >= 0) & (picked < 70)).all()
+        batch.run(200)
+        assert (batch.values >= values.min()).all()
+        assert (batch.values <= values.max()).all()
 
     def test_statistics_match_loop(self):
         graph = complete_graph(70)

@@ -127,18 +127,6 @@ class TestEmpiricalContraction:
         assert measured <= bound + 4.0 / np.sqrt(trials)
 
 
-class TestMeanStateFactor:
-    def test_q2_drives_expected_state(self, small_regular):
-        # E[xi(t)] = q2^t f2 for xi(0) = f2 (Eq. 43): verify via E-matrix.
-        from repro.theory.martingale import node_model_expected_update
-
-        alpha = 0.4
-        lambda2, f2 = second_walk_eigenpair(small_regular)
-        q2 = contraction.mean_state_contraction_factor(10, lambda2, alpha)
-        update = node_model_expected_update(small_regular, alpha)
-        assert np.allclose(update @ f2, q2 * f2, atol=1e-10)
-
-
 def _brute_force_one_step_phi(graph, values, alpha, k, model):
     """E[phi] over every one-step selection, replayed on a scalar process."""
     adjacency = Adjacency.from_graph(graph)
