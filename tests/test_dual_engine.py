@@ -43,6 +43,7 @@ from repro.graphs.generators import (
     random_regular_graph,
     star_graph,
 )
+from repro.graphs.spectral import adjacency_matrix
 from repro.rng import as_generator, spawn
 from repro.sim.montecarlo import sample_meeting_times
 from repro.theory.absorbing import exact_coalescence_time
@@ -184,17 +185,22 @@ class TestPrimalSelectionRecording:
 # BatchDiffusion
 # ----------------------------------------------------------------------
 class TestBatchDiffusion:
+    @pytest.mark.parametrize("form", ["dense", "csr"])
     @pytest.mark.parametrize("k", [1, 2])
-    def test_shared_replay_bit_identical_to_scalar(self, regular16, k):
+    def test_shared_replay_bit_identical_to_scalar(self, regular16, k, form):
         """Every replica replaying a shared schedule equals the scalar
-        facade bit for bit (the diffusion replay is deterministic)."""
+        facade bit for bit (the diffusion replay is deterministic), with
+        the batch handed the frozen CSR :class:`Adjacency` or a networkx
+        graph rebuilt from the dense adjacency matrix."""
         cost = np.linspace(-2.0, 3.0, 16)
         schedule = _random_schedule(regular16, k, 80, seed=5, noop_every=11)
         scalar = DiffusionProcess(regular16, cost=cost, alpha=0.3, k=k)
         scalar.replay(schedule)
-        batch = BatchDiffusion(
-            regular16, cost=cost, alpha=0.3, k=k, replicas=4
+        graph = (
+            regular16 if form == "csr"
+            else nx.from_numpy_array(adjacency_matrix(regular16))
         )
+        batch = BatchDiffusion(graph, cost=cost, alpha=0.3, k=k, replicas=4)
         batch.replay(schedule)
         for b in range(4):
             np.testing.assert_array_equal(batch.loads[b], scalar.loads)

@@ -37,6 +37,7 @@ from repro.engine.kernels import resolve_kernel
 from repro.exceptions import ConvergenceError, ParameterError
 from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import cycle_graph, lollipop_graph, random_regular_graph
+from repro.graphs.spectral import adjacency_matrix
 from repro.obs import Tracer, activate
 from repro.obs.metrics import METRICS
 from repro.theory.exact import exact_variance_trajectory
@@ -439,6 +440,16 @@ class TestWitnessHarvestProperty:
 HAS_JIT = resolve_kernel("auto") == "jit"
 
 
+def _graph_in(form, graph):
+    """``graph`` in one of the two forms the batch models take: ``"csr"``
+    is the frozen CSR :class:`Adjacency`; ``"dense"`` is a networkx graph
+    rebuilt from the dense adjacency matrix, which the model freezes
+    itself (its edge list then comes in matrix order)."""
+    if form == "csr":
+        return Adjacency.from_graph(graph)
+    return nx.from_numpy_array(adjacency_matrix(graph))
+
+
 def _consensus_graph(kind):
     """Graphs with n not a power of two; star and lollipop have leaves of
     degree 1, so they only carry the k = 1 shapes."""
@@ -464,7 +475,7 @@ def _consensus_twins(shape, graph, x0=None, seed=3,
                      replicas=8, block_rounds=None, bit_generator=None):
     """Builders of the same batch under fused and under jit."""
     kind, k, lazy = shape
-    n = graph.number_of_nodes()
+    n = graph.n if isinstance(graph, Adjacency) else graph.number_of_nodes()
     if x0 is None:
         x0 = np.random.default_rng(seed).standard_normal(n)
 
@@ -528,16 +539,21 @@ class TestConsensusInC:
         return got
 
     @pytest.mark.parametrize(
-        "shape, graph",
+        "shape, graph, form",
         [
-            (shape, graph)
+            (shape, graph, form)
             for shape in CONSENSUS_SHAPES
             for graph in ("star", "lollipop", "er", "regular")
+            # The edge model samples from its edge list, which the csr
+            # form leaves in the networkx order the other tests run.
+            for form in (("dense",) if shape[0] == "edge" else ("dense", "csr"))
             if shape[1] == 1 or graph not in ("star", "lollipop")
         ],
     )
-    def test_matches_fused_and_the_full_scan(self, shape, graph):
-        build = _consensus_twins(shape, _consensus_graph(graph))
+    def test_matches_fused_and_the_full_scan(self, shape, graph, form):
+        build = _consensus_twins(
+            shape, _graph_in(form, _consensus_graph(graph))
+        )
         result = self._check(build, discrepancy_tol=1e-6)[0]
         _assert_same_consensus(
             result, _full_scan_consensus(build("fused"), 1e-6, 50_000_000)

@@ -45,6 +45,7 @@ from repro.engine.kernels import run_block_fused
 from repro.exceptions import ParameterError
 from repro.graphs.adjacency import Adjacency
 from repro.graphs.generators import complete_graph, random_regular_graph
+from repro.graphs.spectral import adjacency_matrix
 from repro.sim.montecarlo import sample_f_values, sample_t_eps
 
 #: Whether the compiled block loop builds and loads on this machine.
@@ -164,12 +165,13 @@ class TestScheduleReplayAcrossKernels:
 class TestFusedMatchesLegacyStream:
     """Non-lazy node k=1 free runs share the numpy kernel's RNG layout."""
 
+    @pytest.mark.parametrize("form", ["dense", "csr"])
     def test_regular_and_irregular(
-        self, regular64, values64, irregular30, values30
+        self, regular64, values64, irregular30, values30, form
     ):
         for graph, values, n_rep in (
-            (regular64, values64, 8),
-            (irregular30, values30, 5),
+            (_graph_in(form, regular64), values64, 8),
+            (_graph_in(form, irregular30), values30, 5),
         ):
             legacy = BatchNodeModel(
                 graph, values, alpha=0.4, k=1, replicas=n_rep, seed=7,
@@ -374,22 +376,38 @@ STEPPER_SHAPES = [("node", 1, False), ("node", 2, False), ("node", 1, True),
                   ("edge", 1, False), ("edge", 1, True)]
 
 
-def _stepper_graph(kind):
-    """Graphs with n not a power of two; star and lollipop have leaves of
-    degree 1, so they only carry the k = 1 shapes."""
+def _graph_in(form, graph):
+    """``graph`` in one of the two forms the batch models take: ``"csr"``
+    is the frozen CSR :class:`Adjacency`; ``"dense"`` is a networkx graph
+    rebuilt from the dense adjacency matrix, which the model freezes
+    itself (its edge list then comes in matrix order)."""
     import networkx as nx
 
+    if form == "csr":
+        return Adjacency.from_graph(graph)
+    return nx.from_numpy_array(adjacency_matrix(graph))
+
+
+def _stepper_graph(kind, form=None):
+    """Graphs with n not a power of two, as networkx graphs or in ``form``
+    (see _graph_in); star and lollipop have leaves of degree 1, so they
+    only carry the k = 1 shapes."""
+    import networkx as nx
+
+    def given(graph):
+        return graph if form is None else _graph_in(form, graph)
+
     if kind == "star":
-        return nx.star_graph(20)
+        return given(nx.star_graph(20))
     if kind == "lollipop":
-        return nx.lollipop_graph(8, 5)
+        return given(nx.lollipop_graph(8, 5))
     if kind == "er":
-        return nx.gnp_random_graph(27, 0.25, seed=1)
+        return given(nx.gnp_random_graph(27, 0.25, seed=1))
     if kind == "regular":
-        return random_regular_graph(30, 5, seed=1)
+        return given(random_regular_graph(30, 5, seed=1))
     # A switch between two irregular snapshots changes pi mid-run.
     return CyclicSchedule(
-        [nx.gnp_random_graph(27, 0.25, seed=s) for s in (1, 4)], 23
+        [given(nx.gnp_random_graph(27, 0.25, seed=s)) for s in (1, 4)], 23
     )
 
 
@@ -397,6 +415,8 @@ def _stepper_twins(model, k, lazy, graph, replicas=7, seed=5):
     """The same batch under the fused and the jit kernel."""
     if isinstance(graph, CyclicSchedule):
         n = graph.snapshots[0].n
+    elif isinstance(graph, Adjacency):
+        n = graph.n
     else:
         n = graph.number_of_nodes()
     values = np.random.default_rng(seed).normal(size=n)
@@ -432,6 +452,7 @@ def _assert_twins_agree(fused, jit, block_rounds, frozen, epsilon=1e-6):
 class TestBlockStepper:
     """The jit kernel's one-call blocks decode exactly as fused does."""
 
+    @pytest.mark.parametrize("form", ["dense", "csr"])
     @pytest.mark.parametrize(
         "model, k, lazy, graph",
         [
@@ -441,8 +462,10 @@ class TestBlockStepper:
             if k == 1 or graph not in ("star", "lollipop")
         ],
     )
-    def test_bit_identical_to_fused(self, model, k, lazy, graph):
-        fused, jit = _stepper_twins(model, k, lazy, _stepper_graph(graph))
+    def test_bit_identical_to_fused(self, model, k, lazy, graph, form):
+        fused, jit = _stepper_twins(
+            model, k, lazy, _stepper_graph(graph, form)
+        )
         # 37 divides neither 100 nor 61, nor the schedule's switch period.
         _assert_twins_agree(fused, jit, 37, [1, 4])
 
